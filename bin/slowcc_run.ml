@@ -239,11 +239,14 @@ let with_proc_backend ~quick ~jobs ~workers ~lease_s ~poll_s ~cache ~units
      (* Split this machine's domain budget across the worker processes;
         each worker still parallelizes within a unit on its own pool. *)
      let worker_jobs = max 1 (jobs / max 1 workers) in
+     (* Workers inherit the coordinator's engine configuration, which is
+        what the manifest's timing section records. *)
      let args =
        [
          Sys.executable_name; "worker"; qdir; "--jobs";
          string_of_int worker_jobs; "--lease-s"; string_of_float lease_s;
-         "--poll-s"; string_of_float poll_s;
+         "--poll-s"; string_of_float poll_s; "--sched";
+         Engine.Scheduler.to_string (Engine.Scheduler.get_default ());
        ]
        @ (match Engine.Fastforward.get_default () with
          | Engine.Fastforward.On -> [ "--ff"; "on" ]
@@ -780,9 +783,8 @@ let manyflow_cmd =
       & opt (some int) None
       & info [ "n"; "flows" ] ~docv:"N"
           ~doc:
-            "Flow count.  Without $(b,--check): run a single N instead of \
-             the sweep.  With $(b,--check): equivalence flow count \
-             (default 64).")
+            "Flow count.  Without $(b,--check): run a single N.  With \
+             $(b,--check): equivalence flow count (default 64).")
   in
   let check_arg =
     Arg.(
@@ -817,10 +819,11 @@ let manyflow_cmd =
           (100. *. frac))
       r.Slowcc.Manyflow.hist
   in
-  let run verbose quick jobs sched n check batching =
+  let run verbose quick sched n check batching =
     setup_logs verbose;
     apply_sched sched;
-    if check then begin
+    match (check, n) with
+    | true, n ->
       let n = Option.value n ~default:64 in
       let p = Slowcc.Manyflow.default_params ~n in
       let p =
@@ -835,30 +838,26 @@ let manyflow_cmd =
       else (
         Printf.printf "manyflow check: DIVERGENCE at n=%d\n" n;
         1)
-    end
-    else
-      match n with
-      | Some n ->
-        let p = Slowcc.Manyflow.experiment_params ~quick n in
-        let p = { p with Slowcc.Manyflow.ack_batching = batching } in
-        print_result (Slowcc.Manyflow.run p);
-        0
-      | None ->
-        Engine.Pool.with_pool ~jobs (fun pool ->
-            match Slowcc.Experiments.run_by_name ~quick ~pool "manyflow" with
-            | Some tables ->
-              List.iter (Slowcc.Table.print fmt) tables;
-              0
-            | None -> 1)
+    | false, Some n ->
+      let p = Slowcc.Manyflow.experiment_params ~quick n in
+      let p = { p with Slowcc.Manyflow.ack_batching = batching } in
+      print_result (Slowcc.Manyflow.run p);
+      0
+    | false, None ->
+      Format.eprintf
+        "manyflow needs --flows N or --check; for the sweep use \
+         'slowcc_run run manyflow'@.";
+      2
   in
   Cmd.v
     (Cmd.info "manyflow"
        ~doc:
          "Many-flow weak-convergence distributions on the struct-of-arrays \
-          engine (sweep, single N, or SoA-vs-object differential check)")
+          engine: a single N, or the SoA-vs-object differential check (the \
+          sweep is 'slowcc_run run manyflow')")
     Term.(
-      const run $ verbose_arg $ quick_arg $ jobs_arg $ sched_arg $ n_arg
-      $ check_arg $ batching_arg)
+      const run $ verbose_arg $ quick_arg $ sched_arg $ n_arg $ check_arg
+      $ batching_arg)
 
 let main =
   Cmd.group

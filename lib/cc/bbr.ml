@@ -133,8 +133,8 @@ type t = {
 let inflight t = t.snd_nxt - t.snd_una
 
 let current_rto t =
-  let base = if t.rtt_valid then t.srtt +. (4. *. t.rttvar) else 1.0 in
-  Float.min t.cfg.max_rto (Float.max t.cfg.min_rto base *. t.backoff)
+  Rto.timeout ~min_rto:t.cfg.min_rto ~max_rto:t.cfg.max_rto
+    ~backoff:t.backoff ~rtt_valid:t.rtt_valid ~srtt:t.srtt ~rttvar:t.rttvar
 
 let bdp_pkts t =
   if t.btl_bw > 0. && Float.is_finite t.rtprop then t.btl_bw *. t.rtprop
@@ -364,7 +364,7 @@ let on_dup_ack t =
 let on_rto t =
   if t.running && t.snd_una < t.snd_nxt then begin
     t.n_timeouts <- t.n_timeouts + 1;
-    t.backoff <- Float.min 64. (t.backoff *. 2.);
+    t.backoff <- Rto.double_backoff t.backoff;
     t.in_recovery <- false;
     t.dupacks <- 0;
     t.snd_nxt <- t.snd_una;

@@ -147,12 +147,9 @@ let effective_window t i =
   else Float.Array.get t.cwnd i
 
 let current_rto t i =
-  let base =
-    if get_flag t i f_rttvalid then
-      Float.Array.get t.srtt i +. (4. *. Float.Array.get t.rttvar i)
-    else 1.0
-  in
-  Float.min t.cfg.max_rto (Float.max t.cfg.min_rto base *. backoff t i)
+  Rto.timeout ~min_rto:t.cfg.min_rto ~max_rto:t.cfg.max_rto
+    ~backoff:(backoff t i) ~rtt_valid:(get_flag t i f_rttvalid)
+    ~srtt:(Float.Array.get t.srtt i) ~rttvar:(Float.Array.get t.rttvar i)
 
 let transmit t i ~seq =
   let pkt =

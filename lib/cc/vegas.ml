@@ -105,11 +105,8 @@ type t = {
 let inflight t = t.snd_nxt - t.snd_una
 
 let current_rto t =
-  let base = if t.rtt_valid then t.srtt +. (4. *. t.rttvar) else 1.0 in
-  (* Clamp to the configured floor *before* applying backoff, exactly as
-     [Window_cc.rto]: a low-RTT path must never push the timer below
-     [min_rto]. *)
-  Float.min t.cfg.max_rto (Float.max t.cfg.min_rto base *. t.backoff)
+  Rto.timeout ~min_rto:t.cfg.min_rto ~max_rto:t.cfg.max_rto
+    ~backoff:t.backoff ~rtt_valid:t.rtt_valid ~srtt:t.srtt ~rttvar:t.rttvar
 
 let transmit t ~seq =
   let now = Engine.Sim.now t.sim in
@@ -230,7 +227,7 @@ let on_rto t =
     t.cwnd <- 2.;
     t.in_slow_start <- true;
     t.ss_grow <- false;
-    t.backoff <- Float.min 64. (t.backoff *. 2.);
+    t.backoff <- Rto.double_backoff t.backoff;
     t.in_recovery <- false;
     t.dupacks <- 0;
     (* Go-back-N: everything in flight is presumed lost. *)

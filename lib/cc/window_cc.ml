@@ -168,12 +168,8 @@ let pipe t =
   if t.cfg.sack then inflight t - IntSet.cardinal t.sacked else inflight t
 
 let current_rto t =
-  let base = if t.rtt_valid then t.srtt +. (4. *. t.rttvar) else 1.0 in
-  (* Floor at the configured minimum *before* the exponential backoff
-     multiplies in: a low-RTT path (srtt + 4*rttvar << min_rto) must not
-     collapse the timer below [min_rto] and fire spurious retransmits. *)
-  let floored = Float.max t.cfg.min_rto base in
-  Float.min t.cfg.max_rto (floored *. t.backoff)
+  Rto.timeout ~min_rto:t.cfg.min_rto ~max_rto:t.cfg.max_rto
+    ~backoff:t.backoff ~rtt_valid:t.rtt_valid ~srtt:t.srtt ~rttvar:t.rttvar
 
 let transmit t ~seq =
   let pkt =
@@ -243,7 +239,7 @@ let on_rto t =
           (Engine.Sim.now t.sim) t.flow_id t.cwnd t.backoff t.snd_una);
     t.ssthresh <- Float.max 2. (t.cfg.rule.decrease t.cwnd);
     t.cwnd <- 1.;
-    t.backoff <- Float.min 64. (t.backoff *. 2.);
+    t.backoff <- Rto.double_backoff t.backoff;
     t.in_recovery <- false;
     t.dupacks <- 0;
     (* Go-back-N: resume from the first hole; everything in flight is

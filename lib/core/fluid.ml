@@ -234,7 +234,6 @@ let thaw t =
     t.exits <- t.exits + 1;
     let skipped = now -. t.armed_at in
     t.skipped_s <- t.skipped_s +. skipped;
-    Engine.Fastforward.note_exit ~skipped_s:skipped;
     (match t.metrics with
     | Some (_, exits, gauge) ->
       Engine.Metrics.incr exits;
@@ -337,7 +336,6 @@ let try_arm t =
       t.thaw_at <- thaw_time;
       t.last_mat <- now;
       t.entries <- t.entries + 1;
-      Engine.Fastforward.note_entry ();
       (match t.metrics with
       | Some (entries, _, _) -> Engine.Metrics.incr entries
       | None -> ());

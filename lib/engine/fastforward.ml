@@ -36,33 +36,6 @@ let default =
 let get_default () = Atomic.get default
 let set_default m = Atomic.set default m
 
-(* Process-wide fast-forward accounting, aggregated across every fluid
-   controller in the process.  Saturating adds, like Metrics counters;
-   the per-run Metrics registry carries the same numbers per scenario,
-   these atomics exist so A/B harnesses (bench --perf) can read deltas
-   without threading a registry through. *)
-let entries_total = Atomic.make 0
-let exits_total = Atomic.make 0
-let skipped_ns_total = Atomic.make 0 (* integer nanoseconds of sim time *)
-
-let note_entry () = Atomic.incr entries_total
-
-let note_exit ~skipped_s =
-  Atomic.incr exits_total;
-  if skipped_s > 0. then begin
-    let ns = int_of_float (skipped_s *. 1e9) in
-    let rec add () =
-      let cur = Atomic.get skipped_ns_total in
-      let nxt = if cur > max_int - ns then max_int else cur + ns in
-      if not (Atomic.compare_and_set skipped_ns_total cur nxt) then add ()
-    in
-    add ()
-  end
-
-let entries () = Atomic.get entries_total
-let exits () = Atomic.get exits_total
-let skipped_sim_seconds () = float_of_int (Atomic.get skipped_ns_total) *. 1e-9
-
 module Detector = struct
   (* Sliding-window stability test over per-link samples.  A sample is
      (loss rate over the last interval, queue occupancy in packets,

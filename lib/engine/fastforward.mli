@@ -22,18 +22,6 @@ val get_default : unit -> mode
 
 val set_default : mode -> unit
 
-(** {2 Process-wide accounting}
-
-    Saturating totals across every fluid controller in the process, for
-    A/B harnesses that cannot thread a {!Metrics} registry through.  The
-    per-run registry carries the same counters per scenario. *)
-
-val note_entry : unit -> unit
-val note_exit : skipped_s:float -> unit
-val entries : unit -> int
-val exits : unit -> int
-val skipped_sim_seconds : unit -> float
-
 (** Sliding-window steady-state test over per-link (loss rate, queue
     occupancy, delivered rate) samples.  Pure bookkeeping: the caller
     samples at its own cadence and acts on {!Detector.stable}. *)

@@ -91,8 +91,8 @@ let to_channel ?minify oc v =
   output_char oc '\n'
 
 (* Recursive-descent parser over a string with an explicit cursor.  Covers
-   the JSON actually produced by [to_string] plus standard escapes, so the
-   bench harness can validate its own BENCH_engine.json round-trip. *)
+   the JSON actually produced by [to_string] plus standard escapes, so
+   cache entries, work queues and fuzz reproducers round-trip. *)
 
 exception Parse_error of int * string
 

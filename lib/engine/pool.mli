@@ -44,10 +44,6 @@ val backend_to_string : backend -> string
     [Domain.recommended_domain_count ()], at least 1. *)
 val default_jobs : unit -> int
 
-(** [clamp_jobs n] is [n] clamped to the range [create] accepts
-    (1 to 128). *)
-val clamp_jobs : int -> int
-
 (** Apply the engine GC policy to the calling domain: a 1M-word minor
     heap (vs the 256k default) so the steady trickle of event closures
     triggers fewer minor collections.  Overridden by the [SLOWCC_GC]
@@ -59,8 +55,8 @@ val clamp_jobs : int -> int
     does not manage. *)
 val tune_gc : unit -> unit
 
-(** [create ~jobs] makes a pool that will use at most [clamp_jobs jobs]
-    worker domains.  Workers are spawned lazily at submission time and
+(** [create ~jobs] makes a pool that will use at most [jobs] (clamped
+    to 1–128) worker domains.  Workers are spawned lazily at submission time and
     clamped to the batch size, so a pool sized for the machine never runs
     more domains than it has jobs in flight; the submitting domain itself
     only waits on batches. *)
