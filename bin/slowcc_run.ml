@@ -588,60 +588,9 @@ let cache_cmd =
 
 let protocol_conv =
   let parse s =
-    let fail () =
-      Error
-        (`Msg
-          (Printf.sprintf
-             "cannot parse protocol %S (try tcp:2, tcp-sack:2, rap:8, sqrt:2, \
-              iiad:2, tfrc:6, tfrc+sc:256, tear:8, bbr, vegas, \
-              vegas:1-3)"
-             s))
-    in
-    match String.split_on_char ':' s with
-    | [ "tcp"; g ] -> (
-      match float_of_string_opt g with
-      | Some g -> Ok (Slowcc.Protocol.tcp ~gamma:g)
-      | None -> fail ())
-    | [ "tcp-sack"; g ] -> (
-      match float_of_string_opt g with
-      | Some g -> Ok (Slowcc.Protocol.tcp_sack ~gamma:g)
-      | None -> fail ())
-    | [ "tear"; n ] -> (
-      match int_of_string_opt n with
-      | Some rounds -> Ok (Slowcc.Protocol.tear ~rounds)
-      | None -> fail ())
-    | [ "rap"; g ] -> (
-      match float_of_string_opt g with
-      | Some g -> Ok (Slowcc.Protocol.rap ~gamma:g)
-      | None -> fail ())
-    | [ "sqrt"; g ] -> (
-      match float_of_string_opt g with
-      | Some g -> Ok (Slowcc.Protocol.sqrt_ ~gamma:g)
-      | None -> fail ())
-    | [ "iiad"; g ] -> (
-      match float_of_string_opt g with
-      | Some g -> Ok (Slowcc.Protocol.iiad ~gamma:g)
-      | None -> fail ())
-    | [ "tfrc"; k ] -> (
-      match int_of_string_opt k with
-      | Some k -> Ok (Slowcc.Protocol.tfrc ~k ())
-      | None -> fail ())
-    | [ "tfrc+sc"; k ] -> (
-      match int_of_string_opt k with
-      | Some k -> Ok (Slowcc.Protocol.tfrc ~conservative:true ~k ())
-      | None -> fail ())
-    | [ "bbr" ] -> Ok Slowcc.Protocol.bbr
-    | [ "vegas" ] -> Ok (Slowcc.Protocol.vegas ())
-    | [ "vegas"; ab ] -> (
-      match String.split_on_char '-' ab with
-      | [ a; b ] -> (
-        match (float_of_string_opt a, float_of_string_opt b) with
-        | Some alpha, Some beta -> Ok (Slowcc.Protocol.vegas ~alpha ~beta ())
-        | _ -> fail ())
-      | _ -> fail ())
-    | _ -> fail ()
+    Result.map_error (fun m -> `Msg m) (Slowcc.Protocol.of_string s)
   in
-  let print fmt p = Format.pp_print_string fmt (Slowcc.Protocol.name p) in
+  let print fmt p = Format.pp_print_string fmt (Slowcc.Protocol.to_string p) in
   Arg.conv (parse, print)
 
 let compete_cmd =

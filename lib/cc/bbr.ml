@@ -32,6 +32,14 @@
    3-dupack retransmit and go-back-N on RTO — with the timer floored at
    [min_rto] and exponentially backed off — but btl_bw/rtprop survive. *)
 
+let initial_cwnd = 4. (* pkts; also seeds the pre-sample pacing rate *)
+let initial_rtt = 0.1 (* pacing seed before the first RTT sample *)
+let min_rto = 0.2
+let bw_filter_rounds = 10
+let rtprop_window = 10.
+let probe_rtt_duration = 0.2
+let startup_full_rounds = 3
+
 module Log = (val Logs.src_log (Logs.Src.create "cc.bbr") : Logs.LOG)
 
 type mode = Startup | Drain | Probe_bw | Probe_rtt
@@ -41,31 +49,6 @@ let mode_name = function
   | Drain -> "DRAIN"
   | Probe_bw -> "PROBE_BW"
   | Probe_rtt -> "PROBE_RTT"
-
-type config = {
-  pkt_size : int;
-  initial_cwnd : float; (* pkts; also seeds the pre-sample pacing rate *)
-  initial_rtt : float; (* pacing seed before the first RTT sample *)
-  min_rto : float;
-  max_rto : float;
-  bw_filter_rounds : int; (* max-filter horizon, round trips *)
-  rtprop_window : float; (* min-filter horizon, seconds *)
-  probe_rtt_duration : float;
-  startup_full_rounds : int; (* flat rounds before the pipe is "full" *)
-}
-
-let default_config =
-  {
-    pkt_size = 1000;
-    initial_cwnd = 4.;
-    initial_rtt = 0.1;
-    min_rto = 0.2;
-    max_rto = 64.;
-    bw_filter_rounds = 10;
-    rtprop_window = 10.;
-    probe_rtt_duration = 0.2;
-    startup_full_rounds = 3;
-  }
 
 let startup_gain = 2.885 (* 2 / ln 2 *)
 let drain_gain = 1. /. 2.885
@@ -77,7 +60,7 @@ let initial_cycle_index = 2 (* fixed, deterministic: start in cruise *)
 
 type t = {
   sim : Engine.Sim.t;
-  cfg : config;
+  pkt_size : int;
   src : Netsim.Node.t;
   dst : Netsim.Node.t;
   flow_id : int;
@@ -133,12 +116,12 @@ type t = {
 let inflight t = t.snd_nxt - t.snd_una
 
 let current_rto t =
-  Rto.timeout ~min_rto:t.cfg.min_rto ~max_rto:t.cfg.max_rto
-    ~backoff:t.backoff ~rtt_valid:t.rtt_valid ~srtt:t.srtt ~rttvar:t.rttvar
+  Rto.timeout ~min_rto ~backoff:t.backoff ~rtt_valid:t.rtt_valid ~srtt:t.srtt
+    ~rttvar:t.rttvar
 
 let bdp_pkts t =
   if t.btl_bw > 0. && Float.is_finite t.rtprop then t.btl_bw *. t.rtprop
-  else t.cfg.initial_cwnd
+  else initial_cwnd
 
 let cwnd_pkts t =
   if t.mode = Probe_rtt then probe_rtt_cwnd
@@ -148,16 +131,16 @@ let pacing_rate_pps t =
   if t.btl_bw > 0. then t.pacing_gain *. t.btl_bw
   else
     (* No sample yet: pace the initial window out over the RTT guess. *)
-    t.pacing_gain *. t.cfg.initial_cwnd /. t.cfg.initial_rtt
+    t.pacing_gain *. initial_cwnd /. initial_rtt
 
 let transmit t ~seq =
   let now = Engine.Sim.now t.sim in
   let pkt =
-    Netsim.Packet.make ~size:t.cfg.pkt_size ~seq ~flow:t.flow_id
+    Netsim.Packet.make ~size:t.pkt_size ~seq ~flow:t.flow_id
       ~src:(Netsim.Node.id t.src) ~dst:(Netsim.Node.id t.dst) ~sent_at:now ()
   in
   t.pkts_sent <- t.pkts_sent + 1;
-  t.bytes_sent <- t.bytes_sent + t.cfg.pkt_size;
+  t.bytes_sent <- t.bytes_sent + t.pkt_size;
   if seq < t.high_water then begin
     t.n_rtx_pkts <- t.n_rtx_pkts + 1;
     Hashtbl.remove t.send_info seq (* Karn *)
@@ -197,7 +180,7 @@ let btl_bw_update t =
 
 let bw_sample t sample =
   if sample > t.bw_cur then t.bw_cur <- sample;
-  if t.round_count - t.bw_rotate_round >= t.cfg.bw_filter_rounds / 2 then begin
+  if t.round_count - t.bw_rotate_round >= bw_filter_rounds / 2 then begin
     t.bw_prev <- t.bw_cur;
     t.bw_cur <- sample;
     t.bw_rotate_round <- t.round_count
@@ -221,7 +204,7 @@ let rtt_sample t sample =
   if now >= t.rt_rotate_at then begin
     t.rt_prev <- t.rt_cur;
     t.rt_cur <- sample;
-    t.rt_rotate_at <- now +. (t.cfg.rtprop_window /. 2.)
+    t.rt_rotate_at <- now +. (rtprop_window /. 2.)
   end;
   rtprop_update t;
   (* srtt/rttvar only feed the RTO. *)
@@ -277,7 +260,7 @@ let check_full_pipe t =
     end
     else begin
       t.full_bw_rounds <- t.full_bw_rounds + 1;
-      if t.full_bw_rounds >= t.cfg.startup_full_rounds then
+      if t.full_bw_rounds >= startup_full_rounds then
         t.filled_pipe <- true
     end
   end
@@ -288,7 +271,7 @@ let update_mode t =
   if
     t.mode <> Probe_rtt
     && Float.is_finite t.rtprop
-    && now -. t.rtprop_stamp > t.cfg.rtprop_window
+    && now -. t.rtprop_stamp > rtprop_window
   then enter t Probe_rtt;
   (match t.mode with
   | Startup -> if t.filled_pipe then enter t Drain
@@ -307,7 +290,7 @@ let update_mode t =
     if Float.is_nan t.probe_rtt_done_at then begin
       if float_of_int (inflight t) <= probe_rtt_cwnd then
         t.probe_rtt_done_at <-
-          now +. Float.max t.cfg.probe_rtt_duration t.rtprop
+          now +. Float.max probe_rtt_duration t.rtprop
     end
     else if now >= t.probe_rtt_done_at then begin
       t.rtprop_stamp <- now;
@@ -387,21 +370,19 @@ let handle_ack t (pkt : Netsim.Packet.t) =
        ());
   Netsim.Packet.release pkt
 
-let create ~sim ~src ~dst ~flow cfg =
-  if cfg.initial_cwnd < 1. then invalid_arg "Bbr: initial_cwnd";
-  if cfg.initial_rtt <= 0. then invalid_arg "Bbr: initial_rtt";
+let create ~sim ~src ~dst ~flow ~pkt_size =
   let sink =
-    Sink.attach ~sim ~node:dst ~flow ~peer:(Netsim.Node.id src) ()
+    Sink.attach ~sack:false ~sim ~node:dst ~flow ~peer:(Netsim.Node.id src)
   in
   let t =
     {
       sim;
-      cfg;
+      pkt_size;
       src;
       dst;
       flow_id = flow;
       sink;
-      pacer = Pacing.create ~sim ~emit:(fun () -> false) ();
+      pacer = Pacing.create ~sim ~emit:(fun () -> false);
       running = false;
       snd_una = 0;
       snd_nxt = 0;
@@ -415,7 +396,7 @@ let create ~sim ~src ~dst ~flow cfg =
       rtprop = infinity;
       rt_cur = infinity;
       rt_prev = infinity;
-      rt_rotate_at = Engine.Sim.now sim +. (cfg.rtprop_window /. 2.);
+      rt_rotate_at = Engine.Sim.now sim +. (rtprop_window /. 2.);
       rtprop_stamp = Engine.Sim.now sim;
       round_count = 0;
       round_end = 0;
@@ -443,7 +424,7 @@ let create ~sim ~src ~dst ~flow cfg =
       n_rtx_pkts = 0;
     }
   in
-  t.pacer <- Pacing.create ~sim ~emit:(fun () -> emit t ()) ();
+  t.pacer <- Pacing.create ~sim ~emit:(fun () -> emit t ());
   t.rto_timer <- Engine.Sim.timer sim (fun () -> on_rto t);
   Netsim.Node.attach src ~flow (handle_ack t);
   t
@@ -471,7 +452,7 @@ let flow t =
     bytes_delivered = (fun () -> Sink.bytes_received t.sink);
     current_rate =
       (fun () ->
-        if t.btl_bw > 0. then t.btl_bw *. float_of_int t.cfg.pkt_size
+        if t.btl_bw > 0. then t.btl_bw *. float_of_int t.pkt_size
         else 0.);
     srtt = (fun () -> t.srtt);
     stats =

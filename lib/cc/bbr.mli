@@ -13,24 +13,12 @@
 
     Loss does not alter the model (BBR v1): recovery is 3-dupack
     retransmit plus go-back-N on a [min_rto]-floored, backed-off timeout,
-    with the bandwidth/RTT filters preserved across both. *)
+    with the bandwidth/RTT filters preserved across both.
 
-type config = {
-  pkt_size : int;
-  initial_cwnd : float;
-  initial_rtt : float;  (** seeds the pacing rate before any sample *)
-  min_rto : float;
-  max_rto : float;
-  bw_filter_rounds : int;
-  rtprop_window : float;
-  probe_rtt_duration : float;
-  startup_full_rounds : int;
-}
-
-val default_config : config
-(** 1000-byte packets, initial cwnd 4, 100 ms initial-RTT guess, min_rto
-    0.2 s, 10-round bandwidth filter, 10 s rtprop window, 200 ms
-    PROBE_RTT, pipe full after 3 flat rounds. *)
+    The model constants are fixed: initial cwnd 4, 100 ms initial-RTT
+    guess (seeds the pacing rate before any sample), min_rto 0.2 s,
+    10-round bandwidth filter, 10 s rtprop window, 200 ms PROBE_RTT,
+    pipe full after 3 flat rounds. *)
 
 type t
 
@@ -39,10 +27,10 @@ val create :
   src:Netsim.Node.t ->
   dst:Netsim.Node.t ->
   flow:int ->
-  config ->
+  pkt_size:int ->
   t
-(** Attach a sender at [src] (with its own pacer) and a cumulative-ack
-    sink at [dst]. *)
+(** Attach a sender of [pkt_size]-byte packets at [src] (with its own
+    pacer) and a cumulative-ack sink at [dst]. *)
 
 val start : t -> unit
 val stop : t -> unit
@@ -66,7 +54,7 @@ val rtprop : t -> float
 
 val rto : t -> float
 (** Current retransmit timeout, including backoff; never below
-    [cfg.min_rto]. *)
+    0.2 s. *)
 
 val pacing_rate : t -> float
 (** Current pacing rate in packets per second. *)

@@ -3,29 +3,10 @@ module IntSet = Set.Make (Int)
 type config = {
   rule : Window_cc.rule;
   pkt_size : int;
-  ack_size : int;
-  initial_window : float;
-  initial_ssthresh : float option;
-  max_window : float;
-  min_rto : float;
-  max_rto : float;
-  react_to_ecn : bool;
   ack_batching : bool;
 }
 
-let default_config rule =
-  {
-    rule;
-    pkt_size = 1000;
-    ack_size = 40;
-    initial_window = 2.;
-    initial_ssthresh = None;
-    max_window = 10000.;
-    min_rto = 0.2;
-    max_rto = 64.;
-    react_to_ecn = true;
-    ack_batching = false;
-  }
+let default_config rule = { rule; pkt_size = 1000; ack_batching = false }
 
 (* Per-flow booleans, the RTO backoff exponent and the dupack count share
    one int cell ([misc]): many-flow state has to stay close to the ~200
@@ -47,6 +28,7 @@ let dup_lo_mask = (1 lsl dup_shift) - 1
 type t = {
   sim : Engine.Sim.t;
   cfg : config;
+  reno : Window_cc.config; (* the per-object engine's defaults for cfg.rule *)
   src : Netsim.Node.t;
   dst : Netsim.Node.t;
   src_id : int;
@@ -93,7 +75,7 @@ type t = {
      at the wheel minimum via [Sim.at_seq] — same (time, seq) position,
      so firing order interleaves with non-timer events exactly as the
      per-object engine's would, including at exact-float-time
-     collisions.  [out_*] is a tiny min-heap of the (time, seq) pairs of
+     collisions.  [out_*] is a stack of the (time, seq) pairs of
      outstanding [service] entries: when the wheel minimum drops, a new
      entry is scheduled and the old one is orphaned; on fire, the
      outstanding minimum IS the firing entry (the simulator pops in
@@ -147,9 +129,9 @@ let effective_window t i =
   else Float.Array.get t.cwnd i
 
 let current_rto t i =
-  Rto.timeout ~min_rto:t.cfg.min_rto ~max_rto:t.cfg.max_rto
-    ~backoff:(backoff t i) ~rtt_valid:(get_flag t i f_rttvalid)
-    ~srtt:(Float.Array.get t.srtt i) ~rttvar:(Float.Array.get t.rttvar i)
+  Rto.timeout ~min_rto:t.reno.Window_cc.min_rto ~backoff:(backoff t i)
+    ~rtt_valid:(get_flag t i f_rttvalid) ~srtt:(Float.Array.get t.srtt i)
+    ~rttvar:(Float.Array.get t.rttvar i)
 
 let transmit t i ~seq =
   let pkt =
@@ -184,68 +166,25 @@ let[@inline] set_slot t i v =
   else if v = Float.infinity then t.tracked <- t.tracked - 1;
   Float.Array.set t.slot i v
 
-(* Outstanding-entry min-heap: (time, seq) pairs, lexicographic. *)
+(* Outstanding-entry stack: (time, seq) pairs, each push strictly below
+   the one under it, so the top is the lexicographic minimum. *)
 
 let out_push t time seq =
-  (if t.out_n = Float.Array.length t.out_times then begin
-     let cap = 2 * t.out_n in
-     let nt = Float.Array.make cap 0. in
-     Float.Array.blit t.out_times 0 nt 0 t.out_n;
-     let ns = Array.make cap 0 in
-     Array.blit t.out_seqs 0 ns 0 t.out_n;
-     t.out_times <- nt;
-     t.out_seqs <- ns
-   end);
-  let i = ref t.out_n in
-  t.out_n <- t.out_n + 1;
-  let continue_ = ref true in
-  while !continue_ && !i > 0 do
-    let p = (!i - 1) / 2 in
-    let tp = Float.Array.get t.out_times p in
-    if time < tp || (time = tp && seq < t.out_seqs.(p)) then begin
-      Float.Array.set t.out_times !i tp;
-      t.out_seqs.(!i) <- t.out_seqs.(p);
-      i := p
-    end
-    else continue_ := false
-  done;
-  Float.Array.set t.out_times !i time;
-  t.out_seqs.(!i) <- seq
+  if t.out_n = Float.Array.length t.out_times then begin
+    let cap = 2 * t.out_n in
+    let nt = Float.Array.make cap 0. in
+    Float.Array.blit t.out_times 0 nt 0 t.out_n;
+    let ns = Array.make cap 0 in
+    Array.blit t.out_seqs 0 ns 0 t.out_n;
+    t.out_times <- nt;
+    t.out_seqs <- ns
+  end;
+  Float.Array.set t.out_times t.out_n time;
+  t.out_seqs.(t.out_n) <- seq;
+  t.out_n <- t.out_n + 1
 
-let out_drop_min t =
-  let last = t.out_n - 1 in
-  t.out_n <- last;
-  if last > 0 then begin
-    let time = Float.Array.get t.out_times last in
-    let seq = t.out_seqs.(last) in
-    let i = ref 0 in
-    let continue_ = ref true in
-    while !continue_ do
-      let l = (2 * !i) + 1 in
-      if l >= last then continue_ := false
-      else begin
-        let r = l + 1 in
-        let c =
-          if
-            r < last
-            && (Float.Array.get t.out_times r < Float.Array.get t.out_times l
-               || (Float.Array.get t.out_times r = Float.Array.get t.out_times l
-                  && t.out_seqs.(r) < t.out_seqs.(l)))
-          then r
-          else l
-        in
-        let tc = Float.Array.get t.out_times c in
-        if tc < time || (tc = time && t.out_seqs.(c) < seq) then begin
-          Float.Array.set t.out_times !i tc;
-          t.out_seqs.(!i) <- t.out_seqs.(c);
-          i := c
-        end
-        else continue_ := false
-      end
-    done;
-    Float.Array.set t.out_times !i time;
-    t.out_seqs.(!i) <- seq
-  end
+let[@inline] out_min_time t = Float.Array.get t.out_times (t.out_n - 1)
+let[@inline] out_min_seq t = t.out_seqs.(t.out_n - 1)
 
 (* Insert flow [i]'s wheel entry at [time], burning the simulator seq a
    per-flow timer's [q_add] would have burned here.  A freshly allocated
@@ -255,7 +194,7 @@ let out_drop_min t =
 let wheel_insert t i time =
   let seq = Engine.Sim.alloc_seq t.sim in
   Rto_wheel.add t.wheel ~time ~seq ~flow:i;
-  if t.out_n = 0 || time < Float.Array.get t.out_times 0 then begin
+  if t.out_n = 0 || time < out_min_time t then begin
     Engine.Sim.at_seq t.sim time ~seq t.service_fn;
     out_push t time seq
   end;
@@ -300,7 +239,7 @@ let on_rto t i =
       (Engine.Sim.now t.sim
       +.
       if get_flag t i f_rttvalid then Float.Array.get t.srtt i
-      else t.cfg.min_rto);
+      else t.reno.Window_cc.min_rto);
     transmit t i ~seq:t.snd_nxt.(i);
     t.snd_nxt.(i) <- t.snd_nxt.(i) + 1;
     restart_rto t i
@@ -316,8 +255,8 @@ let ensure_service t =
     let sm = Rto_wheel.min_seq t.wheel in
     if
       t.out_n = 0
-      || tm < Float.Array.get t.out_times 0
-      || (tm = Float.Array.get t.out_times 0 && sm < t.out_seqs.(0))
+      || tm < out_min_time t
+      || (tm = out_min_time t && sm < out_min_seq t)
     then begin
       Engine.Sim.at_seq t.sim tm ~seq:sm t.service_fn;
       out_push t tm sm
@@ -334,9 +273,9 @@ let ensure_service t =
    whose deadline moved later chases it with a fresh (time, seq), and
    stale entries and disarmed flows fall through. *)
 let service t =
-  let tf = Float.Array.get t.out_times 0 in
-  let sf = t.out_seqs.(0) in
-  out_drop_min t;
+  let tf = out_min_time t in
+  let sf = out_min_seq t in
+  t.out_n <- t.out_n - 1;
   (if not (Rto_wheel.is_empty t.wheel) then begin
      let tm = Rto_wheel.min_time t.wheel in
      let sm = Rto_wheel.min_seq t.wheel in
@@ -397,7 +336,7 @@ let grow_window t i ~acked_pkts =
     if !w < ss then w := !w +. 1.
     else w := !w +. (t.cfg.rule.Window_cc.increase !w /. !w)
   done;
-  Float.Array.set t.cwnd i (Float.min !w t.cfg.max_window)
+  Float.Array.set t.cwnd i (Float.min !w t.reno.Window_cc.max_window)
 
 let congestion_decrease t i =
   let ss =
@@ -455,7 +394,7 @@ let on_dup_ack t i =
   else try_send t i
 
 let on_ecn t i =
-  if t.cfg.react_to_ecn && t.snd_una.(i) > t.ecn_guard.(i) then begin
+  if t.snd_una.(i) > t.ecn_guard.(i) then begin
     congestion_decrease t i;
     t.ecn_guard.(i) <- t.snd_nxt.(i)
   end
@@ -480,7 +419,7 @@ let handle_ack t (pkt : Netsim.Packet.t) =
 
 let send_ack t i =
   let ack =
-    Netsim.Packet.alloc_ack ~size:t.cfg.ack_size ~flow:(flow_id t i)
+    Netsim.Packet.alloc_ack ~size:Sink.ack_size ~flow:(flow_id t i)
       ~src:t.dst_id ~dst:t.src_id ~sent_at:(Engine.Sim.now t.sim)
       ~cum_seq:t.next_expected.(i) ~sack:[]
   in
@@ -570,21 +509,24 @@ let create ~sim ~src ~dst ~base ~n cfg =
   if n > Rto_wheel.max_flows then
     invalid_arg "Flow_soa.create: n exceeds Rto_wheel.max_flows";
   if base < 0 then invalid_arg "Flow_soa.create: base >= 0 required";
-  if cfg.initial_window < 1. then invalid_arg "Flow_soa: initial_window";
+  let reno = Window_cc.default_config cfg.rule in
   let ssthresh0 =
-    match cfg.initial_ssthresh with Some s -> s | None -> cfg.max_window
+    match reno.Window_cc.initial_ssthresh with
+    | Some s -> s
+    | None -> reno.Window_cc.max_window
   in
   let t =
     {
       sim;
       cfg;
+      reno;
       src;
       dst;
       src_id = Netsim.Node.id src;
       dst_id = Netsim.Node.id dst;
       base;
       n;
-      cwnd = Float.Array.make n cfg.initial_window;
+      cwnd = Float.Array.make n reno.Window_cc.initial_window;
       ssthresh = Float.Array.make n ssthresh0;
       srtt = Float.Array.make n 0.;
       rttvar = Float.Array.make n 0.;

@@ -6,9 +6,9 @@
     indexed by dense flow index, so 10⁵+ flows fit in flat memory with
     no per-flow closures, timer objects or hash entries.  The congestion
     control is a field-for-field transliteration of {!Window_cc}
-    restricted to its dominant configuration (Reno, no SACK, no delayed
-    acks, unbounded transfer): at equal inputs the two engines produce
-    byte-identical end states — the differential fuzzer checks this.
+    restricted to its dominant configuration (no SACK, unbounded
+    transfer): at equal inputs the two engines produce byte-identical
+    end states — the differential fuzzer checks this.
 
     Per-flow RTO timers are consolidated into a single calendar-queue
     timer wheel for the whole engine, with the same lazy-cancel /
@@ -22,23 +22,20 @@
     Flow indexes are [0 .. n-1]; the wire-visible flow id of index [i]
     is [base + i]. *)
 
+(** The initial window, initial ssthresh, window cap and [min_rto] are
+    not settings here: every flow takes them from
+    [Window_cc.default_config rule], so the two engines cannot drift.
+    Acks are {!Sink.ack_size} bytes. *)
 type config = {
   rule : Window_cc.rule;
   pkt_size : int;
-  ack_size : int;
-  initial_window : float;
-  initial_ssthresh : float option;
-  max_window : float;
-  min_rto : float;
-  max_rto : float;
-  react_to_ecn : bool;
   ack_batching : bool;
       (** coalesce same-instant acks per flow at the sink.  Changes ack
           timing/count, so digest-equivalence with the per-object engine
           only holds when off (the default). *)
 }
 
-(** Same defaults as {!Window_cc.default_config}; batching off. *)
+(** 1000-byte packets; batching off. *)
 val default_config : Window_cc.rule -> config
 
 type t

@@ -67,33 +67,14 @@ let open_interval t =
   if t.n_events = 0 then 0.
   else float_of_int (max 0 (t.highest_seq - t.event_start_seq))
 
-let loss_event_rate ?(discounting = false) t =
+let loss_event_rate t =
   if t.n_events = 0 || t.closed = [] then 0.
   else begin
     let avg_closed = weighted_average ~k:t.k t.closed in
-    let current = open_interval t in
-    let avg_with_open = weighted_average ~k:t.k (current :: t.closed) in
-    let avg =
-      if discounting && avg_closed > 0. && current > 2. *. avg_closed then begin
-        (* Simplified history discounting (RFC 3448 s5.5): when the open
-           interval has grown well past the average, shrink the *weights*
-           of the closed intervals so the long loss-free run dominates and
-           the loss rate estimate drops faster. *)
-        let df = Float.max 0.5 (2. *. avg_closed /. current) in
-        let num = ref (weight ~k:t.k 0 *. current) in
-        let den = ref (weight ~k:t.k 0) in
-        List.iteri
-          (fun i x ->
-            if i + 1 < t.k then begin
-              let w = df *. weight ~k:t.k (i + 1) in
-              num := !num +. (w *. x);
-              den := !den +. w
-            end)
-          t.closed;
-        Float.max avg_closed (!num /. !den)
-      end
-      else Float.max avg_closed avg_with_open
+    let avg_with_open =
+      weighted_average ~k:t.k (open_interval t :: t.closed)
     in
+    let avg = Float.max avg_closed avg_with_open in
     if avg <= 0. then 0. else 1. /. avg
   end
 

@@ -24,9 +24,9 @@ val record_loss : t -> seq:int -> now:float -> rtt:float -> bool
     inverting the throughput equation — RFC 3448 s6.3.1. *)
 val seed_first_interval : t -> float -> unit
 
-(** Current loss event rate estimate; 0 when no loss event yet.
-    [discounting] enables history discounting for long loss-free runs. *)
-val loss_event_rate : ?discounting:bool -> t -> float
+(** Current loss event rate estimate; 0 when no loss event yet.  There is
+    no RFC 3448 history discounting (the paper's TFRC runs without it). *)
+val loss_event_rate : t -> float
 
 val num_loss_events : t -> int
 

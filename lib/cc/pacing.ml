@@ -3,8 +3,8 @@
    Rate-paced senders (BBR-style, and eventually Tfrc/Cbr) hand the pacer
    an [emit] callback that transmits one packet and returns [true], or
    returns [false] when the transport has nothing to send right now.  The
-   pacer spaces emissions [1 /. rate_pps] apart (with a small configurable
-   burst allowance), re-arming one timer instead of allocating a fresh
+   pacer spaces emissions [1 /. rate_pps] apart (at most [burst] = one
+   whole token banked), re-arming one timer instead of allocating a fresh
    event per packet, and goes idle — timer disarmed, zero events — when
    [emit] declines.  The transport calls [kick] when data (or window)
    becomes available again.
@@ -16,9 +16,10 @@
    work on simulated time, so traces are byte-identical across heap and
    calendar schedulers. *)
 
+let burst = 1. (* max accumulated tokens *)
+
 type t = {
   sim : Engine.Sim.t;
-  burst : float; (* max accumulated tokens, >= 1 *)
   mutable rate_pps : float; (* tokens (packets) per simulated second *)
   mutable tokens : float;
   mutable last_refill : float;
@@ -32,7 +33,7 @@ let refill t =
   let now = Engine.Sim.now t.sim in
   if now > t.last_refill then begin
     t.tokens <-
-      Float.min t.burst (t.tokens +. ((now -. t.last_refill) *. t.rate_pps));
+      Float.min burst (t.tokens +. ((now -. t.last_refill) *. t.rate_pps));
     t.last_refill <- now
   end
 
@@ -68,12 +69,10 @@ let pump t =
     done
   end
 
-let create ~sim ?(burst = 1.) ~emit () =
-  if burst < 1. then invalid_arg "Pacing.create: burst must be >= 1";
+let create ~sim ~emit =
   let t =
     {
       sim;
-      burst;
       rate_pps = 0.;
       tokens = burst;
       last_refill = Engine.Sim.now sim;

@@ -14,11 +14,10 @@
 
 type t
 
-val create :
-  sim:Engine.Sim.t -> ?burst:float -> emit:(unit -> bool) -> unit -> t
-(** [create ~sim ~emit ()] makes a stopped pacer with rate 0.  [burst]
-    (default [1.], must be [>= 1.]) caps how many whole-packet tokens can
-    accumulate while the transport has nothing to send. *)
+val create : sim:Engine.Sim.t -> emit:(unit -> bool) -> t
+(** [create ~sim ~emit] makes a stopped pacer with rate 0.  At most one
+    whole-packet token accumulates while the transport has nothing to
+    send, so a wake-up never releases a burst. *)
 
 val start : t -> unit
 (** Begin pacing (idempotent).  Tokens do not accrue while stopped. *)

@@ -2,18 +2,15 @@ let log_src = Logs.Src.create "slowcc.rap" ~doc:"RAP events"
 
 module Log = (val Logs.src_log log_src)
 
-type config = {
-  a : float;
-  b : float;
-  pkt_size : int;
-  initial_rtt : float;
-  max_rate_pps : float;
-}
+type config = { a : float; b : float; pkt_size : int }
+
+let initial_rtt = 0.2 (* used until the first sample *)
+let max_rate_pps = 1e6 (* safety cap on the sending rate *)
 
 let tcp_compatible_config ~b =
   if b <= 0. || b >= 1. then invalid_arg "Rap.tcp_compatible_config";
   let a = 4. *. ((2. *. b) -. (b *. b)) /. 3. in
-  { a; b; pkt_size = 1000; initial_rtt = 0.2; max_rate_pps = 1e6 }
+  { a; b; pkt_size = 1000 }
 
 type t = {
   sim : Engine.Sim.t;
@@ -35,9 +32,9 @@ type t = {
   mutable n_loss_events : int;
 }
 
-let rtt t = if t.rtt_valid then t.srtt else t.cfg.initial_rtt
+let rtt t = if t.rtt_valid then t.srtt else initial_rtt
 
-let rate_pps t = Float.min t.cfg.max_rate_pps (t.w /. rtt t)
+let rate_pps t = Float.min max_rate_pps (t.w /. rtt t)
 
 let rec send_next t =
   t.timer <- None;

@@ -5,14 +5,14 @@
     regardless of ack arrivals.  The receiver acks every packet; the sender
     infers losses from ack sequence holes (3-packet reordering rule) and
     applies at most one multiplicative decrease per RTT.  Lost packets are
-    never retransmitted (RAP targets real-time streams). *)
+    never retransmitted (RAP targets real-time streams).  Until the first
+    RTT sample the sender assumes 0.2 s; its rate is capped at 10^6
+    packets/s. *)
 
 type config = {
   a : float;  (** additive increase, packets per RTT *)
   b : float;  (** multiplicative decrease factor *)
   pkt_size : int;
-  initial_rtt : float;  (** used until the first sample; default 0.2 s *)
-  max_rate_pps : float;  (** safety cap on the sending rate *)
 }
 
 (** TCP-compatible RAP with decrease factor [b]: a = 4(2b - b^2)/3. *)

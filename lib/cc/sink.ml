@@ -1,23 +1,20 @@
 module IntSet = Set.Make (Int)
 
+let ack_size = 40
+
 type t = {
   sim : Engine.Sim.t;
   node : Netsim.Node.t;
   flow : int;
   peer : int;
-  ack_size : int;
   sack : bool;  (* compute SACK blocks on each ack (senders without SACK
                    ignore them, so skipping the per-ack fold over the
                    out-of-order set is behavior-identical and removes the
                    sink from the allocation profile entirely) *)
-  delayed_acks : bool;
-  delack_timeout : float;
   mutable next_expected : int;
   mutable out_of_order : IntSet.t;
   mutable bytes : int;
   mutable pkts : int;
-  mutable unacked_pkts : int;  (* in-order packets not yet acked (delack) *)
-  mutable delack_timer : Engine.Sim.handle option;
   mutable last_ecn : bool;
 }
 
@@ -37,15 +34,9 @@ let sack_blocks t =
   List.filteri (fun i _ -> i < 3) runs
 
 let send_ack t =
-  (match t.delack_timer with
-  | Some h ->
-    Engine.Sim.cancel h;
-    t.delack_timer <- None
-  | None -> ());
-  t.unacked_pkts <- 0;
   let sack = if t.sack then sack_blocks t else [] in
   let ack =
-    Netsim.Packet.alloc_ack ~size:t.ack_size ~flow:t.flow
+    Netsim.Packet.alloc_ack ~size:ack_size ~flow:t.flow
       ~src:(Netsim.Node.id t.node) ~dst:t.peer
       ~sent_at:(Engine.Sim.now t.sim)
       ~cum_seq:t.next_expected ~sack
@@ -54,14 +45,6 @@ let send_ack t =
   t.last_ecn <- false;
   Netsim.Node.inject t.node ack
 
-let arm_delack t =
-  if t.delack_timer = None then
-    t.delack_timer <-
-      Some
-        (Engine.Sim.after_cancellable t.sim t.delack_timeout (fun () ->
-             t.delack_timer <- None;
-             if t.unacked_pkts > 0 then send_ack t))
-
 let handle t (pkt : Netsim.Packet.t) =
   match pkt.Netsim.Packet.payload with
   | Netsim.Packet.Plain | Netsim.Packet.Tfrc_data _ ->
@@ -69,8 +52,7 @@ let handle t (pkt : Netsim.Packet.t) =
     t.pkts <- t.pkts + 1;
     t.last_ecn <- t.last_ecn || pkt.Netsim.Packet.ecn;
     let seq = pkt.Netsim.Packet.seq in
-    let in_order = seq = t.next_expected in
-    if in_order then begin
+    if seq = t.next_expected then begin
       t.next_expected <- seq + 1;
       while IntSet.mem t.next_expected t.out_of_order do
         t.out_of_order <- IntSet.remove t.next_expected t.out_of_order;
@@ -79,37 +61,23 @@ let handle t (pkt : Netsim.Packet.t) =
     end
     else if seq > t.next_expected then
       t.out_of_order <- IntSet.add seq t.out_of_order;
-    if t.delayed_acks && in_order && IntSet.is_empty t.out_of_order then begin
-      (* Delay the ack unless this is the second unacked packet. *)
-      t.unacked_pkts <- t.unacked_pkts + 1;
-      if t.unacked_pkts >= 2 then send_ack t else arm_delack t
-    end
-    else
-      (* Immediate ack: no delack, out-of-order data, or a hole just
-         filled — the sender needs prompt feedback. *)
-      send_ack t
+    send_ack t
   | Netsim.Packet.Ack _ | Netsim.Packet.Rap_ack _ | Netsim.Packet.Tfrc_fb _
   | Netsim.Packet.Tear_fb _ ->
     ()
 
-let attach ?(ack_size = 40) ?(sack = true) ?(delayed_acks = false)
-    ?(delack_timeout = 0.2) ~sim ~node ~flow ~peer () =
+let attach ~sack ~sim ~node ~flow ~peer =
   let t =
     {
       sim;
       node;
       flow;
       peer;
-      ack_size;
       sack;
-      delayed_acks;
-      delack_timeout;
       next_expected = 0;
       out_of_order = IntSet.empty;
       bytes = 0;
       pkts = 0;
-      unacked_pkts = 0;
-      delack_timer = None;
       last_ecn = false;
     }
   in
@@ -135,5 +103,4 @@ let fast_forward t ~next_expected =
   if next_expected < t.next_expected then
     invalid_arg "Sink.fast_forward: frontier moves forward only";
   t.next_expected <- next_expected;
-  t.out_of_order <- IntSet.empty;
-  t.unacked_pkts <- 0
+  t.out_of_order <- IntSet.empty

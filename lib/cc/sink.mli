@@ -1,5 +1,6 @@
 (** Data receiver that generates an immediate cumulative ACK per data
-    packet (no delayed acks, matching the paper's TCP model).
+    packet.  The paper's TCP is modeled without delayed acks (its AIMD
+    has a = 1), so there is no delayed-ack timer.
 
     Out-of-order arrivals are buffered logically; the cumulative ack always
     names the lowest sequence number not yet received, so duplicate acks
@@ -7,31 +8,25 @@
 
 type t
 
-(** [attach ~sim ~node ~flow ~peer] registers the sink on [node] for
-    [flow]; acks are addressed to node id [peer].  [ack_size] defaults to
-    40 bytes.
+(** Bytes per ack packet. *)
+val ack_size : int
 
-    [sack] (default true) controls whether each ack carries SACK blocks.
-    Senders that don't implement SACK ignore the blocks, so disabling it
-    is behavior-identical for them while skipping the per-ack fold over
-    the out-of-order set — the single largest allocation on the TCP hot
-    path.  [Window_cc] passes its own [cfg.sack] through.
+(** [attach ~sack ~sim ~node ~flow ~peer] registers the sink on [node]
+    for [flow]; acks of {!ack_size} bytes are addressed to node id
+    [peer].
 
-    [delayed_acks] enables RFC-1122-style delayed acks: one ack per two
-    in-order packets, or after [delack_timeout] (default 200 ms), with
-    immediate acks for out-of-order data.  The paper's TCP is modeled
-    *without* delayed acks (its AIMD has a = 1); this option exists to
-    explore the variant. *)
+    [sack] controls whether each ack carries SACK blocks.  Senders that
+    don't implement SACK must pass [false]: they would ignore the
+    blocks, and skipping the per-ack fold over the out-of-order set —
+    the single largest allocation on the TCP hot path — is
+    behavior-identical for them.  [Window_cc] passes its own [cfg.sack]
+    through. *)
 val attach :
-  ?ack_size:int ->
-  ?sack:bool ->
-  ?delayed_acks:bool ->
-  ?delack_timeout:float ->
+  sack:bool ->
   sim:Engine.Sim.t ->
   node:Netsim.Node.t ->
   flow:int ->
   peer:int ->
-  unit ->
   t
 
 (** Total data bytes delivered (including duplicates). *)

@@ -1,19 +1,9 @@
-type config = {
-  pkt_size : int;
-  smoothing_rounds : int;
-  initial_rtt : float;
-  initial_rate_pps : float;
-  min_rate_pps : float;
-}
+type config = { pkt_size : int; smoothing_rounds : int }
 
-let default_config =
-  {
-    pkt_size = 1000;
-    smoothing_rounds = 8;
-    initial_rtt = 0.2;
-    initial_rate_pps = 2.;
-    min_rate_pps = 1. /. 64.;
-  }
+let default_config = { pkt_size = 1000; smoothing_rounds = 8 }
+let initial_rtt = 0.2
+let initial_rate_pps = 2.
+let min_rate_pps = 1. /. 64.
 
 (* ------------------------------------------------------------------ *)
 (* Receiver: the emulated TCP window                                    *)
@@ -40,7 +30,7 @@ type receiver = {
 }
 
 let receiver_rtt r =
-  if r.rtt_from_sender > 0. then r.rtt_from_sender else r.r_cfg.initial_rtt
+  if r.rtt_from_sender > 0. then r.rtt_from_sender else initial_rtt
 
 (* TEAR weights: like TFRC's WALI, flat over the newer half and linearly
    decaying over the older half. *)
@@ -158,7 +148,7 @@ type t = {
   mutable bytes_delivered : float;
 }
 
-let sender_rtt t = if t.rtt_valid then t.srtt else t.cfg.initial_rtt
+let sender_rtt t = if t.rtt_valid then t.srtt else initial_rtt
 
 let rec send_next t =
   t.send_timer <- None;
@@ -179,7 +169,7 @@ let rec send_next t =
     t.pkts_sent <- t.pkts_sent + 1;
     t.bytes_sent <- t.bytes_sent +. float_of_int t.cfg.pkt_size;
     Netsim.Node.inject t.src pkt;
-    let gap = 1. /. Float.max t.cfg.min_rate_pps t.x in
+    let gap = 1. /. Float.max min_rate_pps t.x in
     t.send_timer <-
       Some (Engine.Sim.after_cancellable t.sim gap (fun () -> send_next t))
   end
@@ -196,7 +186,7 @@ let handle_fb t (pkt : Netsim.Packet.t) =
           t.srtt <- sample;
           t.rtt_valid <- true
         end;
-      t.x <- Float.max t.cfg.min_rate_pps rate_pps
+      t.x <- Float.max min_rate_pps rate_pps
     | Netsim.Packet.Plain | Netsim.Packet.Ack _ | Netsim.Packet.Rap_ack _
     | Netsim.Packet.Tfrc_data _ | Netsim.Packet.Tfrc_fb _ ->
       ()
@@ -233,7 +223,7 @@ let create ~sim ~src ~dst ~flow cfg =
       flow_id = flow;
       receiver;
       running = false;
-      x = cfg.initial_rate_pps;
+      x = initial_rate_pps;
       srtt = 0.;
       rtt_valid = false;
       seq = 0;

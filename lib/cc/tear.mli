@@ -18,11 +18,11 @@
 type config = {
   pkt_size : int;
   smoothing_rounds : int;  (** windows averaged; TEAR uses about 8 *)
-  initial_rtt : float;
-  initial_rate_pps : float;
-  min_rate_pps : float;
 }
 
+(** 1000-byte packets, 8 rounds.  The sender starts at 2 packets/s,
+    assumes a 200 ms RTT until the first sample and never sends slower
+    than one packet per 64 s. *)
 val default_config : config
 
 type t

@@ -8,23 +8,14 @@ type config = {
   pkt_size : int;
   conservative : bool;
   conservative_c : float;
-  history_discounting : bool;
-  initial_rtt : float;
-  initial_rate_pps : float;
-  min_rate_pps : float;
 }
 
 let default_config ~k =
-  {
-    k;
-    pkt_size = 1000;
-    conservative = false;
-    conservative_c = 1.1;
-    history_discounting = false;
-    initial_rtt = 0.2;
-    initial_rate_pps = 2.;
-    min_rate_pps = 1. /. 64.;
-  }
+  { k; pkt_size = 1000; conservative = false; conservative_c = 1.1 }
+
+let initial_rtt = 0.2
+let initial_rate_pps = 2.
+let min_rate_pps = 1. /. 64. (* one packet per t_mbi = 64 s *)
 
 (* ------------------------------------------------------------------ *)
 (* Receiver                                                            *)
@@ -52,7 +43,7 @@ type receiver = {
 }
 
 let receiver_rtt r =
-  if r.rtt_from_sender > 0. then r.rtt_from_sender else r.r_cfg.initial_rtt
+  if r.rtt_from_sender > 0. then r.rtt_from_sender else initial_rtt
 
 (* Receive rate estimate.  The RFC measures bytes over the last RTT, which
    quantizes badly when an RTT holds zero or one packet; so we also rate
@@ -106,10 +97,7 @@ let send_feedback r =
     r.recv_rate_estimate <-
       nofb_recv_rate ~bytes:r.bytes_since_fb ~elapsed
         ~prev:r.recv_rate_estimate);
-  let p =
-    Loss_history.loss_event_rate ~discounting:r.r_cfg.history_discounting
-      r.history
-  in
+  let p = Loss_history.loss_event_rate r.history in
   (* Seed the first loss interval from the receive rate at the time of the
      first loss event (RFC 3448 s6.3.1). *)
   (if (not r.first_interval_seeded) && Loss_history.num_loss_events r.history > 0
@@ -123,9 +111,7 @@ let send_feedback r =
      r.first_interval_seeded <- true
    end);
   let p =
-    if r.first_interval_seeded then
-      Loss_history.loss_event_rate ~discounting:r.r_cfg.history_discounting
-        r.history
+    if r.first_interval_seeded then Loss_history.loss_event_rate r.history
     else p
   in
   let pkt =
@@ -213,7 +199,7 @@ type t = {
   mutable ff_delivered : int;  (* fluid pkts credited since suspend *)
 }
 
-let sender_rtt t = if t.rtt_valid then t.srtt else t.cfg.initial_rtt
+let sender_rtt t = if t.rtt_valid then t.srtt else initial_rtt
 
 let send_next t =
   if t.running then begin
@@ -233,7 +219,7 @@ let send_next t =
     t.pkts_sent <- t.pkts_sent + 1;
     t.bytes_sent <- t.bytes_sent + t.cfg.pkt_size;
     Netsim.Node.inject t.src pkt;
-    let gap = 1. /. Float.max t.cfg.min_rate_pps t.x in
+    let gap = 1. /. Float.max min_rate_pps t.x in
     Engine.Sim.arm_after t.send_timer gap
   end
 
@@ -267,7 +253,7 @@ let on_feedback t (fb : Netsim.Packet.tfrc_feedback) =
          else Float.min x_calc (t.cfg.conservative_c *. x_recv_pps)
        else Float.min x_calc (2. *. x_recv_pps)
      in
-     t.x <- Float.max t.cfg.min_rate_pps allowed;
+     t.x <- Float.max min_rate_pps allowed;
      Log.debug (fun m ->
          m "t=%.3f flow=%d feedback: p=%.4f x_recv=%.1fpps -> x=%.1fpps%s"
            (Engine.Sim.now t.sim) t.flow_id p x_recv_pps t.x
@@ -278,11 +264,11 @@ let on_feedback t (fb : Netsim.Packet.tfrc_feedback) =
         (and by the receive rate itself under the conservative option). *)
      let cap =
        if t.cfg.conservative then
-         Float.max t.cfg.initial_rate_pps (2. *. x_recv_pps)
+         Float.max initial_rate_pps (2. *. x_recv_pps)
        else 2. *. x_recv_pps
      in
      t.x <-
-       Float.max t.cfg.initial_rate_pps (Float.min (2. *. t.x) cap)
+       Float.max initial_rate_pps (Float.min (2. *. t.x) cap)
    end);
   restart_nofb t
 
@@ -338,7 +324,7 @@ let create ~sim ~src ~dst ~flow cfg =
       flow_id = flow;
       receiver;
       running = false;
-      x = cfg.initial_rate_pps;
+      x = initial_rate_pps;
       srtt = 0.;
       rtt_valid = false;
       slow_start = true;
@@ -355,7 +341,7 @@ let create ~sim ~src ~dst ~flow cfg =
   t.send_timer <- Engine.Sim.timer sim (fun () -> send_next t);
   t.nofb_timer <-
     Engine.Sim.timer sim (fun () ->
-        t.x <- Float.max t.cfg.min_rate_pps (t.x /. 2.);
+        t.x <- Float.max min_rate_pps (t.x /. 2.);
         restart_nofb t);
   Netsim.Node.attach src ~flow (handle_fb t);
   t
@@ -401,7 +387,7 @@ let ff_credit t ~sent ~delivered =
    applies to each feedback report). *)
 let ff_rate_pps t ~p =
   if p > 0. then
-    Float.max t.cfg.min_rate_pps (Tfrc_eq.rate_pps ~p ~rtt:(sender_rtt t))
+    Float.max min_rate_pps (Tfrc_eq.rate_pps ~p ~rtt:(sender_rtt t))
   else t.x
 
 (* Thaw: jump the data/receive frontier past the fluid packets (so the

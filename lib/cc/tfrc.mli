@@ -9,17 +9,18 @@
     The [conservative] flag implements the paper's self-clocking extension
     (Section 4.1.1 pseudo-code): for the RTT after a reported loss the rate
     is capped at the receive rate itself, and otherwise at C times the
-    receive rate (C = 1.1), restoring the packet-conservation principle. *)
+    receive rate (C = 1.1), restoring the packet-conservation principle.
+
+    As in the paper's runs, the loss-interval average has no RFC 3448
+    history discounting.  The sender starts at 2 packets/s, assumes a
+    200 ms RTT until the first sample, and never sends slower than one
+    packet per 64 s (t_mbi). *)
 
 type config = {
   k : int;  (** number of loss intervals averaged *)
   pkt_size : int;
   conservative : bool;  (** the paper's self-clocking option *)
   conservative_c : float;  (** C in the pseudo-code; paper uses 1.1 *)
-  history_discounting : bool;  (** RFC 3448 s5.5; off in the paper's runs *)
-  initial_rtt : float;
-  initial_rate_pps : float;
-  min_rate_pps : float;  (** one packet per t_mbi = 64 s *)
 }
 
 val default_config : k:int -> config

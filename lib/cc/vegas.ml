@@ -36,27 +36,16 @@ module Log = (val Logs.src_log (Logs.Src.create "cc.vegas") : Logs.LOG)
 type config = {
   alpha : float; (* grow while the standing queue is below this (pkts) *)
   beta : float; (* shrink once it exceeds this (pkts) *)
-  gamma : float; (* leave slow start once diff exceeds this (pkts) *)
   pkt_size : int;
-  initial_window : float;
-  max_window : float;
-  min_rto : float;
-  max_rto : float;
-  base_rtt_window : float; (* base-RTT aging horizon, seconds *)
 }
 
-let default_config =
-  {
-    alpha = 2.;
-    beta = 4.;
-    gamma = 1.;
-    pkt_size = 1000;
-    initial_window = 2.;
-    max_window = 10000.;
-    min_rto = 0.2;
-    max_rto = 64.;
-    base_rtt_window = 10.;
-  }
+let default_config = { alpha = 2.; beta = 4.; pkt_size = 1000 }
+
+let gamma = 1. (* leave slow start once diff exceeds this (pkts) *)
+let initial_window = 2.
+let max_window = 10000.
+let min_rto = 0.2
+let base_rtt_window = 10. (* base-RTT aging horizon, seconds *)
 
 type t = {
   sim : Engine.Sim.t;
@@ -105,8 +94,8 @@ type t = {
 let inflight t = t.snd_nxt - t.snd_una
 
 let current_rto t =
-  Rto.timeout ~min_rto:t.cfg.min_rto ~max_rto:t.cfg.max_rto
-    ~backoff:t.backoff ~rtt_valid:t.rtt_valid ~srtt:t.srtt ~rttvar:t.rttvar
+  Rto.timeout ~min_rto ~backoff:t.backoff ~rtt_valid:t.rtt_valid ~srtt:t.srtt
+    ~rttvar:t.rttvar
 
 let transmit t ~seq =
   let now = Engine.Sim.now t.sim in
@@ -154,7 +143,7 @@ let rotate_base t =
   if now >= t.base_rotate_at then begin
     t.base_prev <- t.base_cur;
     t.base_cur <- infinity;
-    t.base_rotate_at <- now +. (t.cfg.base_rtt_window /. 2.)
+    t.base_rotate_at <- now +. (base_rtt_window /. 2.)
   end
 
 let srtt_update t sample =
@@ -198,19 +187,19 @@ let vegas_update t =
     let diff = t.cwnd *. (rtt -. base) /. rtt in
     t.last_diff <- diff;
     if t.in_slow_start then begin
-      if diff > t.cfg.gamma then begin
+      if diff > gamma then begin
         (* A standing queue has formed: drain it and switch to the linear
            regime. *)
         t.in_slow_start <- false;
         t.cwnd <- Float.max 2. (t.cwnd *. base /. rtt)
       end
       else begin
-        if t.ss_grow then t.cwnd <- Float.min t.cfg.max_window (t.cwnd *. 2.);
+        if t.ss_grow then t.cwnd <- Float.min max_window (t.cwnd *. 2.);
         t.ss_grow <- not t.ss_grow
       end
     end
     else if diff < t.cfg.alpha then
-      t.cwnd <- Float.min t.cfg.max_window (t.cwnd +. 1.)
+      t.cwnd <- Float.min max_window (t.cwnd +. 1.)
     else if diff > t.cfg.beta then t.cwnd <- Float.max 2. (t.cwnd -. 1.);
     Log.debug (fun m ->
         m "t=%.3f flow=%d vegas: rtt=%.4f base=%.4f diff=%.2f cwnd=%.1f%s"
@@ -284,11 +273,10 @@ let handle_ack t (pkt : Netsim.Packet.t) =
   Netsim.Packet.release pkt
 
 let create ~sim ~src ~dst ~flow cfg =
-  if cfg.initial_window < 1. then invalid_arg "Vegas: initial_window";
   if cfg.alpha < 0. || cfg.beta < cfg.alpha then
     invalid_arg "Vegas: need 0 <= alpha <= beta";
   let sink =
-    Sink.attach ~sim ~node:dst ~flow ~peer:(Netsim.Node.id src) ()
+    Sink.attach ~sack:false ~sim ~node:dst ~flow ~peer:(Netsim.Node.id src)
   in
   let t =
     {
@@ -302,7 +290,7 @@ let create ~sim ~src ~dst ~flow cfg =
       snd_una = 0;
       snd_nxt = 0;
       high_water = 0;
-      cwnd = cfg.initial_window;
+      cwnd = initial_window;
       in_slow_start = true;
       ss_grow = true;
       dupacks = 0;
@@ -319,7 +307,7 @@ let create ~sim ~src ~dst ~flow cfg =
       epoch_samples = 0;
       base_cur = infinity;
       base_prev = infinity;
-      base_rotate_at = Engine.Sim.now sim +. (cfg.base_rtt_window /. 2.);
+      base_rotate_at = Engine.Sim.now sim +. (base_rtt_window /. 2.);
       last_diff = 0.;
       pkts_sent = 0;
       bytes_sent = 0;

@@ -4,32 +4,20 @@
     [diff = cwnd * (rtt - base_rtt) / rtt] and, once per RTT, adjusts the
     window to hold [alpha < diff < beta] (+1 packet below [alpha], −1
     above [beta]).  Slow start doubles every other RTT and exits as soon
-    as [diff > gamma].
+    as [diff > gamma] with gamma = 1 packet; the window starts at 2.
 
     Robustness fixes from the delay-CC literature: per-RTT decisions use
     the minimum RTT sample of the epoch (noise filtering), and the
-    propagation-RTT estimate is a windowed minimum aged over
-    [base_rtt_window] seconds (two rotating half-window buckets), so it
-    recovers from route changes and persistent standing queues.  RTT
-    samples obey Karn's rule, and the retransmit timer is floored at
-    [min_rto].  Loss recovery is 3-dupack retransmit with a 3/4 decrease
-    and go-back-N on timeout. *)
+    propagation-RTT estimate is a windowed minimum aged over 10 s (two
+    rotating half-window buckets), so it recovers from route changes and
+    persistent standing queues.  RTT samples obey Karn's rule, and the
+    retransmit timer is floored at 0.2 s.  Loss recovery is 3-dupack
+    retransmit with a 3/4 decrease and go-back-N on timeout. *)
 
-type config = {
-  alpha : float;
-  beta : float;
-  gamma : float;
-  pkt_size : int;
-  initial_window : float;
-  max_window : float;
-  min_rto : float;
-  max_rto : float;
-  base_rtt_window : float;
-}
+type config = { alpha : float; beta : float; pkt_size : int }
 
 val default_config : config
-(** alpha 2, beta 4, gamma 1 (packets of standing queue), 1000-byte
-    packets, initial window 2, min_rto 0.2 s, base-RTT aging over 10 s. *)
+(** alpha 2, beta 4 (packets of standing queue), 1000-byte packets. *)
 
 type t
 
@@ -41,8 +29,7 @@ val create :
   config ->
   t
 (** Attach a sender at [src] and its cumulative-ack sink at [dst].
-    Raises [Invalid_argument] unless [initial_window >= 1] and
-    [0 <= alpha <= beta]. *)
+    Raises [Invalid_argument] unless [0 <= alpha <= beta]. *)
 
 val start : t -> unit
 val stop : t -> unit
@@ -58,7 +45,7 @@ val srtt : t -> float
 
 val rto : t -> float
 (** Current retransmit timeout, including backoff; never below
-    [cfg.min_rto]. *)
+    0.2 s. *)
 
 val in_slow_start : t -> bool
 

@@ -68,40 +68,30 @@ let sawtooth_model ~rule ~max_window ~p =
     if rtts = 0 then None else Some (pkts /. float_of_int rtts, w_peak)
   end
 
-type variant = Reno | Tahoe
-
 module IntSet = Set.Make (Int)
 
 type config = {
   rule : rule;
-  variant : variant;
   sack : bool;
   pkt_size : int;
   initial_window : float;
   initial_ssthresh : float option;
   max_window : float;
   min_rto : float;
-  max_rto : float;
   total_pkts : int option;
-  react_to_ecn : bool;
-  delayed_acks : bool;
   on_complete : (unit -> unit) option;
 }
 
 let default_config rule =
   {
     rule;
-    variant = Reno;
     sack = false;
     pkt_size = 1000;
     initial_window = 2.;
     initial_ssthresh = None;
     max_window = 10000.;
     min_rto = 0.2;
-    max_rto = 64.;
     total_pkts = None;
-    react_to_ecn = true;
-    delayed_acks = false;
     on_complete = None;
   }
 
@@ -168,8 +158,8 @@ let pipe t =
   if t.cfg.sack then inflight t - IntSet.cardinal t.sacked else inflight t
 
 let current_rto t =
-  Rto.timeout ~min_rto:t.cfg.min_rto ~max_rto:t.cfg.max_rto
-    ~backoff:t.backoff ~rtt_valid:t.rtt_valid ~srtt:t.srtt ~rttvar:t.rttvar
+  Rto.timeout ~min_rto:t.cfg.min_rto ~backoff:t.backoff ~rtt_valid:t.rtt_valid
+    ~srtt:t.srtt ~rttvar:t.rttvar
 
 let transmit t ~seq =
   let pkt =
@@ -331,22 +321,12 @@ let enter_fast_recovery t =
   Log.debug (fun m ->
       m "t=%.3f flow=%d fast retransmit: cwnd=%.1f snd_una=%d"
         (Engine.Sim.now t.sim) t.flow_id t.cwnd t.snd_una);
-  (match t.cfg.variant with
-  | Reno ->
-    t.in_recovery <- true;
-    t.recover <- t.snd_nxt;
-    t.first_partial_done <- false;
-    t.hole_rtx <- IntSet.empty;
-    congestion_decrease t
-  | Tahoe ->
-    (* Tahoe: retransmit, then slow-start from scratch. *)
-    t.ssthresh <- Float.max 2. (t.cfg.rule.decrease t.cwnd);
-    t.cwnd <- 1.;
-    t.recover <- t.high_water;
-    t.snd_nxt <- t.snd_una;
-    t.dupacks <- 0);
+  t.in_recovery <- true;
+  t.recover <- t.snd_nxt;
+  t.first_partial_done <- false;
+  t.hole_rtx <- IntSet.empty;
+  congestion_decrease t;
   transmit t ~seq:t.snd_una;
-  (match t.cfg.variant with Tahoe -> t.snd_nxt <- t.snd_una + 1 | Reno -> ());
   restart_rto t
 
 let on_new_ack t cum =
@@ -401,7 +381,7 @@ let on_dup_ack t =
   end
 
 let on_ecn t =
-  if t.cfg.react_to_ecn && t.snd_una > t.ecn_guard then begin
+  if t.snd_una > t.ecn_guard then begin
     congestion_decrease t;
     t.ecn_guard <- t.snd_nxt
   end
@@ -427,8 +407,7 @@ let handle_ack t (pkt : Netsim.Packet.t) =
 let create ~sim ~src ~dst ~flow cfg =
   if cfg.initial_window < 1. then invalid_arg "Window_cc: initial_window";
   let sink =
-    Sink.attach ~sack:cfg.sack ~delayed_acks:cfg.delayed_acks ~sim ~node:dst
-      ~flow ~peer:(Netsim.Node.id src) ()
+    Sink.attach ~sack:cfg.sack ~sim ~node:dst ~flow ~peer:(Netsim.Node.id src)
   in
   let t =
     {

@@ -10,7 +10,9 @@
     duplicate-ack fast retransmit with NewReno-style partial-ack recovery,
     retransmit timeouts with exponential backoff, Karn's algorithm for RTT
     sampling, and strict self-clocking (data leaves only on ack arrival or
-    timer expiry — the packet-conservation principle of Section 4.1). *)
+    timer expiry — the packet-conservation principle of Section 4.1).  An
+    ECN echo applies the loss-event decrease, at most once per window;
+    the sink acks every packet. *)
 
 type rule = {
   name : string;
@@ -27,13 +29,8 @@ val tcp_compatible_aimd : b:float -> rule
 (** Binomial: increase a / w^k per RTT, decrease w - b w^l on loss. *)
 val binomial : k:float -> l:float -> a:float -> b:float -> rule
 
-type variant =
-  | Reno  (** fast retransmit + NewReno fast recovery (default) *)
-  | Tahoe  (** fast retransmit, then slow-start from one packet *)
-
 type config = {
   rule : rule;
-  variant : variant;
   sack : bool;
       (** selective acknowledgments: a scoreboard drives loss recovery
           (simplified RFC 3517); recovers multi-loss windows without
@@ -45,10 +42,7 @@ type config = {
           [s]; [None] (default) slow-starts until the first loss *)
   max_window : float;
   min_rto : float;  (** seconds; ns-2-era default 0.2 *)
-  max_rto : float;
   total_pkts : int option;  (** [Some n] for a short transfer of n packets *)
-  react_to_ecn : bool;
-  delayed_acks : bool;  (** receiver acks every other packet *)
   on_complete : (unit -> unit) option;
 }
 
@@ -118,7 +112,7 @@ val cwnd : t -> float
 
 (** Current retransmit timeout as the RTO timer would arm it: backoff
     applied to [srtt + 4*rttvar] (1 s before the first valid sample),
-    floored at [cfg.min_rto] and capped at [cfg.max_rto]. *)
+    floored at [cfg.min_rto] and capped at 64 s. *)
 val rto : t -> float
 
 val ssthresh : t -> float

@@ -35,50 +35,6 @@ let queue_of_string = function
   | "droptail" -> Some Netsim.Dumbbell.Droptail
   | _ -> None
 
-(* Same wire syntax as slowcc_run's --a/--b protocol arguments. *)
-let proto_to_string = function
-  | Protocol.Tcp g -> Printf.sprintf "tcp:%g" g
-  | Protocol.Tcp_sack g -> Printf.sprintf "tcp-sack:%g" g
-  | Protocol.Rap g -> Printf.sprintf "rap:%g" g
-  | Protocol.Sqrt g -> Printf.sprintf "sqrt:%g" g
-  | Protocol.Iiad g -> Printf.sprintf "iiad:%g" g
-  | Protocol.Tfrc { k; conservative = true; _ } -> Printf.sprintf "tfrc+sc:%d" k
-  | Protocol.Tfrc { k; _ } -> Printf.sprintf "tfrc:%d" k
-  | Protocol.Tear rounds -> Printf.sprintf "tear:%d" rounds
-  | Protocol.Bbr -> "bbr"
-  | Protocol.Vegas { alpha; beta } -> Printf.sprintf "vegas:%g-%g" alpha beta
-
-let proto_of_string s =
-  match String.split_on_char ':' s with
-  | [ "tcp"; g ] ->
-    Option.map (fun g -> Protocol.tcp ~gamma:g) (float_of_string_opt g)
-  | [ "tcp-sack"; g ] ->
-    Option.map (fun g -> Protocol.tcp_sack ~gamma:g) (float_of_string_opt g)
-  | [ "rap"; g ] ->
-    Option.map (fun g -> Protocol.rap ~gamma:g) (float_of_string_opt g)
-  | [ "sqrt"; g ] ->
-    Option.map (fun g -> Protocol.sqrt_ ~gamma:g) (float_of_string_opt g)
-  | [ "iiad"; g ] ->
-    Option.map (fun g -> Protocol.iiad ~gamma:g) (float_of_string_opt g)
-  | [ "tfrc"; k ] ->
-    Option.map (fun k -> Protocol.tfrc ~k ()) (int_of_string_opt k)
-  | [ "tfrc+sc"; k ] ->
-    Option.map
-      (fun k -> Protocol.tfrc ~conservative:true ~k ())
-      (int_of_string_opt k)
-  | [ "tear"; n ] ->
-    Option.map (fun rounds -> Protocol.tear ~rounds) (int_of_string_opt n)
-  | [ "bbr" ] -> Some Protocol.bbr
-  | [ "vegas" ] -> Some (Protocol.vegas ())
-  | [ "vegas"; ab ] -> (
-    match String.split_on_char '-' ab with
-    | [ a; b ] -> (
-      match (float_of_string_opt a, float_of_string_opt b) with
-      | Some alpha, Some beta -> Some (Protocol.vegas ~alpha ~beta ())
-      | _ -> None)
-    | _ -> None)
-  | _ -> None
-
 let describe sc =
   Printf.sprintf "seed=%d %s queue=%s bw=%g rtt=%g dur=%g flows=[%s]" sc.seed
     (match sc.topology with
@@ -91,10 +47,10 @@ let describe sc =
           (fun fs ->
             match sc.topology with
             | Dumbbell ->
-              Printf.sprintf "%s%s" (proto_to_string fs.proto)
+              Printf.sprintf "%s%s" (Protocol.to_string fs.proto)
                 (if fs.rev then " rev" else "")
             | Parking_lot _ ->
-              Printf.sprintf "%s %d->%d" (proto_to_string fs.proto)
+              Printf.sprintf "%s %d->%d" (Protocol.to_string fs.proto)
                 fs.src_site fs.dst_site)
           sc.flows))
 
@@ -127,7 +83,7 @@ let scenario_to_json sc =
              (fun fs ->
                Json.Obj
                  [
-                   ("proto", Json.String (proto_to_string fs.proto));
+                   ("proto", Json.String (Protocol.to_string fs.proto));
                    ("rev", Json.Bool fs.rev);
                    ("src_site", Json.Int fs.src_site);
                    ("dst_site", Json.Int fs.dst_site);
@@ -190,11 +146,7 @@ let scenario_of_json doc =
           | Some (Json.String s) -> Ok s
           | _ -> Error "flow without proto"
         in
-        let* proto =
-          match proto_of_string proto_s with
-          | Some p -> Ok p
-          | None -> Error (Printf.sprintf "unknown proto %S" proto_s)
-        in
+        let* proto = Protocol.of_string proto_s in
         let rev =
           match Json.member "rev" fd with
           | Some (Json.Bool b) -> b

@@ -4,12 +4,7 @@ type t =
   | Rap of float
   | Sqrt of float
   | Iiad of float
-  | Tfrc of {
-      k : int;
-      conservative : bool;
-      conservative_c : float;
-      history_discounting : bool;
-    }
+  | Tfrc of { k : int; conservative : bool; conservative_c : float }
   | Tear of int
   | Bbr
   | Vegas of { alpha : float; beta : float }
@@ -38,10 +33,9 @@ let iiad ~gamma =
   check_gamma gamma;
   Iiad gamma
 
-let tfrc ?(conservative = false) ?(conservative_c = 1.1)
-    ?(history_discounting = false) ~k () =
+let tfrc ?(conservative = false) ?(conservative_c = 1.1) ~k () =
   if k < 1 then invalid_arg "Protocol.tfrc: k >= 1";
-  Tfrc { k; conservative; conservative_c; history_discounting }
+  Tfrc { k; conservative; conservative_c }
 
 let tear ~rounds =
   if rounds < 1 then invalid_arg "Protocol.tear: rounds >= 1";
@@ -65,6 +59,63 @@ let name = function
   | Tear rounds -> Printf.sprintf "TEAR(%d)" rounds
   | Bbr -> "BBR"
   | Vegas { alpha; beta } -> Printf.sprintf "VEGAS(%g,%g)" alpha beta
+
+let to_string = function
+  | Tcp g -> Printf.sprintf "tcp:%g" g
+  | Tcp_sack g -> Printf.sprintf "tcp-sack:%g" g
+  | Rap g -> Printf.sprintf "rap:%g" g
+  | Sqrt g -> Printf.sprintf "sqrt:%g" g
+  | Iiad g -> Printf.sprintf "iiad:%g" g
+  | Tfrc { k; conservative = true; _ } -> Printf.sprintf "tfrc+sc:%d" k
+  | Tfrc { k; _ } -> Printf.sprintf "tfrc:%d" k
+  | Tear rounds -> Printf.sprintf "tear:%d" rounds
+  | Bbr -> "bbr"
+  | Vegas { alpha; beta } -> Printf.sprintf "vegas:%g-%g" alpha beta
+
+(* Parse into a thunk first so the constructors' range checks run in one
+   place, where their [Invalid_argument] becomes an [Error]. *)
+let of_string s =
+  let gamma make g =
+    Option.map (fun g () -> make ~gamma:g) (float_of_string_opt g)
+  in
+  let parsed =
+    match String.split_on_char ':' s with
+    | [ "tcp"; g ] -> gamma tcp g
+    | [ "tcp-sack"; g ] -> gamma tcp_sack g
+    | [ "rap"; g ] -> gamma rap g
+    | [ "sqrt"; g ] -> gamma sqrt_ g
+    | [ "iiad"; g ] -> gamma iiad g
+    | [ "tfrc"; k ] ->
+      Option.map (fun k () -> tfrc ~k ()) (int_of_string_opt k)
+    | [ "tfrc+sc"; k ] ->
+      Option.map
+        (fun k () -> tfrc ~conservative:true ~k ())
+        (int_of_string_opt k)
+    | [ "tear"; n ] ->
+      Option.map (fun rounds () -> tear ~rounds) (int_of_string_opt n)
+    | [ "bbr" ] -> Some (fun () -> bbr)
+    | [ "vegas" ] -> Some (fun () -> vegas ())
+    | [ "vegas"; ab ] -> (
+      match String.split_on_char '-' ab with
+      | [ a; b ] -> (
+        match (float_of_string_opt a, float_of_string_opt b) with
+        | Some alpha, Some beta -> Some (fun () -> vegas ~alpha ~beta ())
+        | _ -> None)
+      | _ -> None)
+    | _ -> None
+  in
+  match parsed with
+  | None ->
+    Error
+      (Printf.sprintf
+         "cannot parse protocol %S (try tcp:2, tcp-sack:2, rap:8, sqrt:2, \
+          iiad:2, tfrc:6, tfrc+sc:256, tear:8, bbr, vegas, vegas:1-3)"
+         s)
+  | Some make -> (
+    match make () with
+    | p -> Ok p
+    | exception Invalid_argument msg ->
+      Error (Printf.sprintf "protocol %S out of range: %s" s msg))
 
 (* Binomial calibration is deterministic and pure; memoize per gamma.
    The caches are shared across domains when scenarios run on a worker
@@ -124,41 +175,24 @@ let spawn_between ?(pkt_size = 1000) ?total_pkts ?(ca_start = false) t ~sim
       { (Cc.Rap.tcp_compatible_config ~b:(1. /. gamma)) with Cc.Rap.pkt_size }
     in
     Cc.Rap.flow (Cc.Rap.create ~sim ~src ~dst ~flow:flow_id cfg)
-  | Tfrc { k; conservative; conservative_c; history_discounting } ->
+  | Tfrc { k; conservative; conservative_c } ->
     if total_pkts <> None then
       invalid_arg "Protocol.spawn: TFRC flows are long-lived only";
-    let cfg =
-      {
-        (Cc.Tfrc.default_config ~k) with
-        Cc.Tfrc.pkt_size;
-        conservative;
-        conservative_c;
-        history_discounting;
-      }
-    in
+    let cfg = { Cc.Tfrc.k; pkt_size; conservative; conservative_c } in
     Cc.Tfrc.flow (Cc.Tfrc.create ~sim ~src ~dst ~flow:flow_id cfg)
   | Tear rounds ->
     if total_pkts <> None then
       invalid_arg "Protocol.spawn: TEAR flows are long-lived only";
-    let cfg =
-      {
-        Cc.Tear.default_config with
-        Cc.Tear.pkt_size;
-        smoothing_rounds = rounds;
-      }
-    in
+    let cfg = { Cc.Tear.pkt_size; smoothing_rounds = rounds } in
     Cc.Tear.flow (Cc.Tear.create ~sim ~src ~dst ~flow:flow_id cfg)
   | Bbr ->
     if total_pkts <> None then
       invalid_arg "Protocol.spawn: BBR flows are long-lived only";
-    let cfg = { Cc.Bbr.default_config with Cc.Bbr.pkt_size } in
-    Cc.Bbr.flow (Cc.Bbr.create ~sim ~src ~dst ~flow:flow_id cfg)
+    Cc.Bbr.flow (Cc.Bbr.create ~sim ~src ~dst ~flow:flow_id ~pkt_size)
   | Vegas { alpha; beta } ->
     if total_pkts <> None then
       invalid_arg "Protocol.spawn: Vegas flows are long-lived only";
-    let cfg =
-      { Cc.Vegas.default_config with Cc.Vegas.pkt_size; alpha; beta }
-    in
+    let cfg = { Cc.Vegas.pkt_size; alpha; beta } in
     Cc.Vegas.flow (Cc.Vegas.create ~sim ~src ~dst ~flow:flow_id cfg)
 
 let spawn ?(reverse = false) ?(extra_delay = 0.) ?pkt_size ?total_pkts

@@ -15,7 +15,6 @@ type t =
       k : int;
       conservative : bool;  (** the paper's self-clocking option *)
       conservative_c : float;  (** the C constant; the paper uses 1.1 *)
-      history_discounting : bool;
     }
   | Tear of int  (** receiver-side TCP emulation, smoothing over n rounds *)
   | Bbr  (** model-based sender: bandwidth/RTT probing state machine, paced *)
@@ -28,18 +27,13 @@ val tcp_sack : gamma:float -> t
 val rap : gamma:float -> t
 val sqrt_ : gamma:float -> t
 val iiad : gamma:float -> t
-val tfrc :
-  ?conservative:bool ->
-  ?conservative_c:float ->
-  ?history_discounting:bool ->
-  k:int ->
-  unit ->
-  t
+val tfrc : ?conservative:bool -> ?conservative_c:float -> k:int -> unit -> t
 
 (** TEAR with [rounds] smoothed windows (the report uses about 8). *)
 val tear : rounds:int -> t
 
-(** BBR-style model-based sender with default configuration. *)
+(** BBR-style model-based sender; its model constants are fixed in
+    {!Cc.Bbr}. *)
 val bbr : t
 
 (** Vegas-style delay-based sender; [alpha]/[beta] bound the standing
@@ -47,6 +41,18 @@ val bbr : t
 val vegas : ?alpha:float -> ?beta:float -> unit -> t
 
 val name : t -> string
+
+(** The command-line and reproducer syntax: [tcp:2], [tcp-sack:2],
+    [rap:8], [sqrt:2], [iiad:2], [tfrc:6], [tfrc+sc:256], [tear:8],
+    [bbr], [vegas], [vegas:1-3] (alpha-beta).  [conservative_c] has no
+    syntax: [of_string (to_string p) = Ok p] holds whenever it is the
+    default 1.1. *)
+val to_string : t -> string
+
+(** Inverse of {!to_string}.  Unknown syntax and values the constructors
+    reject (such as [tcp:1], [tfrc:0] or [vegas:5-2]) are [Error]s
+    carrying a one-line message; it never raises. *)
+val of_string : string -> (t, string) result
 
 (** Create a host pair on the dumbbell and a flow of this protocol from
     left to right ([reverse] for right to left).  The flow is not started.

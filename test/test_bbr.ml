@@ -12,7 +12,7 @@ let fixture ?(seed = 1) ?(bandwidth = 10e6) () =
 let spawn sim db =
   let src, dst = Netsim.Dumbbell.add_host_pair db in
   let flow = Netsim.Dumbbell.fresh_flow db in
-  Cc.Bbr.create ~sim ~src ~dst ~flow Cc.Bbr.default_config
+  Cc.Bbr.create ~sim ~src ~dst ~flow ~pkt_size:1000
 
 let test_model_converges () =
   (* 10 Mbps bottleneck, 1000-byte packets, 50 ms base RTT: the model

@@ -63,6 +63,18 @@ let test_json_rejects_garbage () =
     bad (Engine.Json.Obj (List.remove_assoc "flows" fields))
   | _ -> Alcotest.fail "scenario_to_json did not produce an object")
 
+(* A reproducer naming a protocol value the constructors reject (tcp:1
+   has gamma below 1.5) loads as an error instead of raising. *)
+let test_json_rejects_out_of_range_proto () =
+  let sc = Fuzz.generate ~quick:true 0 in
+  let fs =
+    { (List.hd sc.Fuzz.flows) with Fuzz.proto = Slowcc.Protocol.Tcp 1. }
+  in
+  let doc = Fuzz.scenario_to_json { sc with Fuzz.flows = [ fs ] } in
+  match Fuzz.scenario_of_json doc with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "accepted proto tcp:1"
+
 let test_repro_file_roundtrip () =
   let dir = "tmp-fuzz/repro" in
   let sc = Fuzz.generate ~quick:true 3 in
@@ -138,6 +150,8 @@ let suite =
     Alcotest.test_case "scenario JSON round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "malformed reproducers rejected" `Quick
       test_json_rejects_garbage;
+    Alcotest.test_case "out-of-range proto rejected" `Quick
+      test_json_rejects_out_of_range_proto;
     Alcotest.test_case "reproducer file round-trip" `Quick
       test_repro_file_roundtrip;
     Alcotest.test_case "shrink keeps passing scenario" `Quick

@@ -92,17 +92,6 @@ let test_seed_requires_event () =
     (Invalid_argument "Loss_history.seed_first_interval: no loss event yet")
     (fun () -> Cc.Loss_history.seed_first_interval h 100.)
 
-let test_discounting_accelerates_recovery () =
-  let h = Cc.Loss_history.create ~k:8 in
-  feed_intervals h ~rtt:0.05 [ 10; 10; 10; 10; 10; 10; 10; 10; 10 ];
-  let last_seq = 90 in
-  Cc.Loss_history.note_progress h ~seq:(last_seq + 2000);
-  let p_plain = Cc.Loss_history.loss_event_rate ~discounting:false h in
-  let p_disc = Cc.Loss_history.loss_event_rate ~discounting:true h in
-  Alcotest.(check bool)
-    (Printf.sprintf "discounted %.5f < plain %.5f" p_disc p_plain)
-    true (p_disc < p_plain)
-
 let test_validation () =
   Alcotest.check_raises "k = 0"
     (Invalid_argument "Loss_history.create: k >= 1 required") (fun () ->
@@ -129,8 +118,6 @@ let suite =
       test_open_interval_lowers_rate;
     Alcotest.test_case "seed first interval" `Quick test_seed_first_interval;
     Alcotest.test_case "seed requires event" `Quick test_seed_requires_event;
-    Alcotest.test_case "history discounting" `Quick
-      test_discounting_accelerates_recovery;
     Alcotest.test_case "validation" `Quick test_validation;
     QCheck_alcotest.to_alcotest prop_rate_in_unit_interval;
   ]

@@ -9,7 +9,7 @@ type fixture = {
   limit : int ref;  (** emit declines once this many packets went out *)
 }
 
-let mk ?(sched = Engine.Scheduler.Heap) ?(burst = 1.) ?(limit = max_int) () =
+let mk ?(sched = Engine.Scheduler.Heap) ?(limit = max_int) () =
   let sim = Engine.Sim.create ~sched () in
   let times = ref [] in
   let limit = ref limit in
@@ -22,7 +22,7 @@ let mk ?(sched = Engine.Scheduler.Heap) ?(burst = 1.) ?(limit = max_int) () =
     end
     else false
   in
-  let pacer = Cc.Pacing.create ~sim ~burst ~emit () in
+  let pacer = Cc.Pacing.create ~sim ~emit in
   { sim; pacer; times; limit }
 
 let gaps times =
@@ -131,12 +131,6 @@ let test_progress_at_float_resolution () =
   Alcotest.(check int) "all packets emitted" 500 (Cc.Pacing.sends f.pacer);
   Alcotest.(check bool) "then idle" true (Cc.Pacing.idle f.pacer)
 
-let test_burst_validation () =
-  let sim = Engine.Sim.create () in
-  Alcotest.check_raises "burst < 1"
-    (Invalid_argument "Pacing.create: burst must be >= 1") (fun () ->
-      ignore (Cc.Pacing.create ~sim ~burst:0.5 ~emit:(fun () -> false) ()))
-
 let suite =
   [
     Alcotest.test_case "rate spacing" `Quick test_rate_spacing;
@@ -148,5 +142,4 @@ let suite =
     Alcotest.test_case "heap/calendar identity" `Quick test_scheduler_identity;
     Alcotest.test_case "progress at float resolution" `Quick
       test_progress_at_float_resolution;
-    Alcotest.test_case "burst validation" `Quick test_burst_validation;
   ]

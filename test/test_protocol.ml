@@ -22,6 +22,29 @@ let test_k_validation () =
   Alcotest.check_raises "bad k" (Invalid_argument "Protocol.tfrc: k >= 1")
     (fun () -> ignore (Slowcc.Protocol.tfrc ~k:0 ()))
 
+let test_string_round_trip () =
+  List.iter
+    (fun p ->
+      let s = Slowcc.Protocol.to_string p in
+      match Slowcc.Protocol.of_string s with
+      | Ok p' -> Alcotest.(check bool) (s ^ " round-trips") true (p = p')
+      | Error msg -> Alcotest.failf "%s: %s" s msg)
+    Slowcc.Protocol.
+      [
+        tcp ~gamma:2.; tcp_sack ~gamma:8.; rap ~gamma:2.; sqrt_ ~gamma:2.;
+        iiad ~gamma:4.; tfrc ~k:6 (); tfrc ~conservative:true ~k:256 ();
+        tear ~rounds:8; bbr; vegas ~alpha:1. ~beta:3. ();
+      ]
+
+(* Values the constructors reject are parse errors, not exceptions. *)
+let test_string_rejects () =
+  List.iter
+    (fun s ->
+      match Slowcc.Protocol.of_string s with
+      | Error _ -> ()
+      | Ok p -> Alcotest.failf "%S parsed as %s" s (Slowcc.Protocol.name p))
+    [ "tcp:1"; "tfrc:0"; "tear:0"; "vegas:5-2"; "tcp"; "nosuch:2"; "vegas:1" ]
+
 let env () =
   let sim = Engine.Sim.create () in
   let rng = Engine.Rng.create ~seed:1 in
@@ -87,6 +110,8 @@ let suite =
     Alcotest.test_case "names" `Quick test_names;
     Alcotest.test_case "gamma validation" `Quick test_gamma_validation;
     Alcotest.test_case "k validation" `Quick test_k_validation;
+    Alcotest.test_case "string round-trip" `Quick test_string_round_trip;
+    Alcotest.test_case "string rejects bad values" `Quick test_string_rejects;
     Alcotest.test_case "spawn all kinds" `Slow test_spawn_all_kinds;
     Alcotest.test_case "spawn reverse" `Quick test_spawn_reverse;
     Alcotest.test_case "short transfer" `Quick test_short_transfer;

@@ -58,7 +58,7 @@ let test_sack_blocks_generated () =
       match pkt.Netsim.Packet.payload with
       | Netsim.Packet.Ack { sack; _ } -> sacks := sack :: !sacks
       | _ -> ());
-  ignore (Cc.Sink.attach ~sim ~node ~flow:1 ~peer:0 ());
+  ignore (Cc.Sink.attach ~sack:true ~sim ~node ~flow:1 ~peer:0);
   let send seq =
     Netsim.Node.receive node
       (Netsim.Packet.make ~seq ~flow:1 ~src:0 ~dst:1 ~sent_at:0. ())

@@ -1,5 +1,5 @@
-(* Additional TFRC behaviors: conservative cap after loss, history
-   discounting end-to-end, expedited feedback, RTT heterogeneity. *)
+(* Additional TFRC behaviors: conservative cap after loss, expedited
+   feedback, RTT heterogeneity. *)
 
 let phased_fixture ?(seed = 7) ?(bandwidth = 20e6) ~phases ~cfg_of () =
   let sim = Engine.Sim.create () in
@@ -53,29 +53,6 @@ let test_conservative_caps_after_loss_burst () =
        peak_plain)
     true
     (peak_cons <= peak_plain *. 1.05)
-
-let test_history_discounting_speeds_recovery () =
-  (* After a lossy phase ends, discounting lets the rate climb back
-     faster. *)
-  let run history_discounting =
-    let sim, tfrc =
-      phased_fixture
-        ~phases:[ (15.0, 30); (200.0, 0) ]
-        ~cfg_of:(fun c -> { c with Cc.Tfrc.history_discounting })
-        ()
-    in
-    let flow = Cc.Tfrc.flow tfrc in
-    flow.Cc.Flow.start ();
-    Engine.Sim.run ~until:15. sim;
-    let b0 = flow.Cc.Flow.bytes_delivered () in
-    Engine.Sim.run ~until:45. sim;
-    flow.Cc.Flow.bytes_delivered () -. b0
-  in
-  let with_disc = run true and plain = run false in
-  Alcotest.(check bool)
-    (Printf.sprintf "discounting %.0f >= plain %.0f" with_disc plain)
-    true
-    (with_disc >= plain *. 0.98)
 
 let test_feedback_expedited_on_loss () =
   (* A new loss event triggers an immediate feedback packet rather than
@@ -143,8 +120,6 @@ let suite =
       test_nofb_recv_rate_dyadic_guard;
     Alcotest.test_case "conservative caps burst rate" `Slow
       test_conservative_caps_after_loss_burst;
-    Alcotest.test_case "history discounting" `Slow
-      test_history_discounting_speeds_recovery;
     Alcotest.test_case "feedback expedited on loss" `Quick
       test_feedback_expedited_on_loss;
     Alcotest.test_case "rtt scaling" `Slow test_rtt_scaling;

@@ -1,4 +1,4 @@
-(* Protocol variants: Tahoe, delayed acks, ECN. *)
+(* Protocol variants: ECN marking and the one-per-interval dropper. *)
 
 let db_fixture ?(seed = 5) ?(bandwidth = 8e6) ?(queue = Netsim.Dumbbell.Red) ()
     =
@@ -9,113 +9,13 @@ let db_fixture ?(seed = 5) ?(bandwidth = 8e6) ?(queue = Netsim.Dumbbell.Red) ()
   in
   (sim, Netsim.Dumbbell.create ~sim ~rng config)
 
-let spawn_wcc ?(cfg_of = Fun.id) sim db =
+let spawn_wcc sim db =
   let src, dst = Netsim.Dumbbell.add_host_pair db in
   let flow_id = Netsim.Dumbbell.fresh_flow db in
   let cfg =
-    cfg_of
-      (Cc.Window_cc.default_config (Cc.Window_cc.tcp_compatible_aimd ~b:0.5))
+    Cc.Window_cc.default_config (Cc.Window_cc.tcp_compatible_aimd ~b:0.5)
   in
   Cc.Window_cc.create ~sim ~src ~dst ~flow:flow_id cfg
-
-(* --- Tahoe --- *)
-
-let single_drop_fixture variant =
-  let sim = Engine.Sim.create () in
-  let rng = Engine.Rng.create ~seed:2 in
-  let make_queue () =
-    Netsim.Loss_pattern.by_count ~pattern:[ 40; 1000000 ]
-      (Netsim.Droptail.make ~capacity:10000)
-  in
-  let config =
-    {
-      (Netsim.Dumbbell.default_config ~bandwidth:20e6) with
-      Netsim.Dumbbell.queue = Netsim.Dumbbell.Custom make_queue;
-    }
-  in
-  let db = Netsim.Dumbbell.create ~sim ~rng config in
-  let tcp =
-    spawn_wcc ~cfg_of:(fun c -> { c with Cc.Window_cc.variant }) sim db
-  in
-  (sim, tcp)
-
-let min_cwnd_after_first_frtx sim tcp ~until =
-  let min_seen = ref infinity in
-  Engine.Sim.every sim ~interval:0.005 ~stop:until (fun () ->
-      if Cc.Window_cc.fast_retransmits tcp >= 1 then
-        min_seen := Float.min !min_seen (Cc.Window_cc.cwnd tcp));
-  Engine.Sim.run ~until sim;
-  !min_seen
-
-let test_tahoe_slow_starts_after_loss () =
-  let sim, tcp = single_drop_fixture Cc.Window_cc.Tahoe in
-  (Cc.Window_cc.flow tcp).Cc.Flow.start ();
-  (* The 40th packet is dropped early in slow-start; Tahoe must rebuild
-     from one packet where Reno would sit at ssthresh. *)
-  let min_cwnd = min_cwnd_after_first_frtx sim tcp ~until:0.8 in
-  Alcotest.(check bool) "fast rtx fired" true
-    (Cc.Window_cc.fast_retransmits tcp >= 1);
-  Alcotest.(check (float 1e-9)) "collapsed to one packet" 1. min_cwnd;
-  let sim_r, tcp_r = single_drop_fixture Cc.Window_cc.Reno in
-  (Cc.Window_cc.flow tcp_r).Cc.Flow.start ();
-  let min_cwnd_reno = min_cwnd_after_first_frtx sim_r tcp_r ~until:0.8 in
-  Alcotest.(check bool)
-    (Printf.sprintf "reno floor %.1f stays above 1" min_cwnd_reno)
-    true (min_cwnd_reno > 2.)
-
-let test_tahoe_vs_reno_recovery () =
-  let run variant =
-    let sim, tcp = single_drop_fixture variant in
-    let flow = Cc.Window_cc.flow tcp in
-    flow.Cc.Flow.start ();
-    Engine.Sim.run ~until:5. sim;
-    flow.Cc.Flow.bytes_delivered ()
-  in
-  let reno = run Cc.Window_cc.Reno and tahoe = run Cc.Window_cc.Tahoe in
-  (* Reno recovers a single loss without collapsing: at least as fast. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "reno %.0f >= tahoe %.0f" reno tahoe)
-    true
-    (reno >= tahoe *. 0.95)
-
-(* --- delayed acks --- *)
-
-let test_delack_halves_ack_count () =
-  let count_acks delayed_acks =
-    let sim, db = db_fixture () in
-    let tcp =
-      spawn_wcc
-        ~cfg_of:(fun c -> { c with Cc.Window_cc.delayed_acks })
-        sim db
-    in
-    (Cc.Window_cc.flow tcp).Cc.Flow.start ();
-    Engine.Sim.run ~until:20. sim;
-    (* Count ack arrivals on the reverse bottleneck. *)
-    let rev = Netsim.Dumbbell.bottleneck_rev db in
-    ( Netsim.Link.departures rev,
-      (Cc.Window_cc.flow tcp).Cc.Flow.bytes_delivered () )
-  in
-  let acks_plain, bytes_plain = count_acks false in
-  let acks_delack, bytes_delack = count_acks true in
-  let per_kb n bytes = float_of_int n /. (bytes /. 1000.) in
-  Alcotest.(check bool)
-    (Printf.sprintf "acks/pkt %.2f vs %.2f" (per_kb acks_plain bytes_plain)
-       (per_kb acks_delack bytes_delack))
-    true
-    (per_kb acks_delack bytes_delack < 0.7 *. per_kb acks_plain bytes_plain)
-
-let test_delack_still_fills_link () =
-  let sim, db = db_fixture () in
-  let tcp =
-    spawn_wcc ~cfg_of:(fun c -> { c with Cc.Window_cc.delayed_acks = true }) sim db
-  in
-  let flow = Cc.Window_cc.flow tcp in
-  flow.Cc.Flow.start ();
-  Engine.Sim.run ~until:30. sim;
-  let mbps = flow.Cc.Flow.bytes_delivered () *. 8. /. 30. /. 1e6 in
-  Alcotest.(check bool)
-    (Printf.sprintf "throughput %.2f" mbps)
-    true (mbps > 4.)
 
 (* --- ECN --- *)
 
@@ -186,14 +86,6 @@ let test_one_per_interval () =
 
 let suite =
   [
-    Alcotest.test_case "tahoe slow-starts after loss" `Quick
-      test_tahoe_slow_starts_after_loss;
-    Alcotest.test_case "tahoe vs reno recovery" `Quick
-      test_tahoe_vs_reno_recovery;
-    Alcotest.test_case "delack halves ack count" `Slow
-      test_delack_halves_ack_count;
-    Alcotest.test_case "delack still fills link" `Slow
-      test_delack_still_fills_link;
     Alcotest.test_case "tcp reduces on ecn" `Slow
       test_tcp_reduces_on_ecn_without_loss;
     Alcotest.test_case "tfrc reacts to ecn marks" `Slow

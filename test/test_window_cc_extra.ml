@@ -60,27 +60,6 @@ let test_initial_window_validated () =
            ~cfg_of:(fun c -> { c with Cc.Window_cc.initial_window = 0.5 })
            sim db))
 
-let test_no_ecn_reaction_when_disabled () =
-  let sim = Engine.Sim.create () in
-  let rng = Engine.Rng.create ~seed:5 in
-  let config =
-    {
-      (Netsim.Dumbbell.default_config ~bandwidth:4e6) with
-      Netsim.Dumbbell.queue = Netsim.Dumbbell.Red_ecn;
-    }
-  in
-  let db = Netsim.Dumbbell.create ~sim ~rng config in
-  let tcp =
-    spawn ~cfg_of:(fun c -> { c with Cc.Window_cc.react_to_ecn = false }) sim db
-  in
-  (Cc.Window_cc.flow tcp).Cc.Flow.start ();
-  Engine.Sim.run ~until:30. sim;
-  (* Ignoring marks, the flow only backs off on physical drops (buffer
-     overflow), so its window rides far above the marking region. *)
-  let link = Netsim.Dumbbell.bottleneck db in
-  Alcotest.(check bool) "forced drops occurred" true
-    (Netsim.Link.drops link > 0)
-
 let test_finished_flow_ignores_acks () =
   let sim, db = db_fixture () in
   let tcp =
@@ -239,8 +218,6 @@ let suite =
       test_initial_window_respected;
     Alcotest.test_case "initial window validated" `Quick
       test_initial_window_validated;
-    Alcotest.test_case "ecn reaction can be disabled" `Slow
-      test_no_ecn_reaction_when_disabled;
     Alcotest.test_case "finished flow stays quiet" `Quick
       test_finished_flow_ignores_acks;
     Alcotest.test_case "srtt stable under heavy loss" `Slow
