@@ -1,4 +1,5 @@
 module IntSet = Set.Make (Int)
+module Cq = Engine.Calendar_queue
 
 type config = {
   rule : Window_cc.rule;
@@ -24,6 +25,17 @@ let backoff_shift = 6
 let backoff_mask = 7 lsl backoff_shift
 let dup_shift = 9
 let dup_lo_mask = (1 lsl dup_shift) - 1
+
+(* RTO wheel keys pack the simulator seq above the flow index.  Seqs are
+   unique, so at equal times key order is seq order: the (time, seq)
+   order per-flow timers pop in.  Flow indexes get 20 bits, which caps
+   [n] at 2^20. *)
+let flow_bits = 20
+let max_flows = 1 lsl flow_bits
+let flow_mask = max_flows - 1
+let[@inline] wheel_key ~seq i = (seq lsl flow_bits) lor i
+let[@inline] key_seq key = key lsr flow_bits
+let[@inline] key_flow key = key land flow_mask
 
 type t = {
   sim : Engine.Sim.t;
@@ -66,7 +78,8 @@ type t = {
   ooo1 : int array;
   ooo_more : (int, IntSet.t) Hashtbl.t;
   (* --- consolidated RTO timer wheel ---
-     One calendar queue of flow indexes replaces n per-flow [Sim.timer]s.
+     One calendar queue of keyed entries ([wheel_key]: seq and flow
+     index in one word) replaces n per-flow [Sim.timer]s.
      Every wheel entry carries a seq burned from the *simulator's*
      insertion counter ([Sim.alloc_seq]) at exactly the point a per-flow
      timer would have inserted a queue entry, so the wheel is a
@@ -80,7 +93,7 @@ type t = {
      entry is scheduled and the old one is orphaned; on fire, the
      outstanding minimum IS the firing entry (the simulator pops in
      (time, seq) order), and it is live iff it equals the wheel min. *)
-  wheel : Rto_wheel.t;
+  wheel : unit Cq.t;
   (* Flows with a tracked wheel entry (slot < infinity).  Lazy
      deadline-chasing strands orphaned entries in the wheel; when the
      wheel grows past [2 * tracked + 64] a sweep drops every entry whose
@@ -193,7 +206,7 @@ let[@inline] out_min_seq t = t.out_seqs.(t.out_n - 1)
    earlier than the outstanding minimum's. *)
 let wheel_insert t i time =
   let seq = Engine.Sim.alloc_seq t.sim in
-  Rto_wheel.add t.wheel ~time ~seq ~flow:i;
+  Cq.add_key t.wheel ~time ~key:(wheel_key ~seq i);
   if t.out_n = 0 || time < out_min_time t then begin
     Engine.Sim.at_seq t.sim time ~seq t.service_fn;
     out_push t time seq
@@ -202,9 +215,9 @@ let wheel_insert t i time =
      Entries removed here would pop as no-ops (their time no longer
      matches [slot]), so pruning them cannot change any firing; at worst
      an outstanding [service] entry finds a later minimum and re-arms. *)
-  if Rto_wheel.size t.wheel > (2 * t.tracked) + 64 then
-    Rto_wheel.filter t.wheel ~keep:(fun ~flow ~time ->
-        Float.Array.get t.slot flow = time)
+  if Cq.size t.wheel > (2 * t.tracked) + 64 then
+    Cq.filter t.wheel ~keep:(fun ~key ~time ->
+        Float.Array.get t.slot (key_flow key) = time)
 
 (* Arm flow [i]'s RTO at absolute [time].  Like the lazy [Sim.timer],
    each flow keeps at most one tracked wheel entry ([slot]); arming
@@ -250,9 +263,9 @@ let on_rto t i =
    before it, that entry covers the wheel min (it fires first, no-ops if
    stale, and re-ensures). *)
 let ensure_service t =
-  if not (Rto_wheel.is_empty t.wheel) then begin
-    let tm = Rto_wheel.min_time t.wheel in
-    let sm = Rto_wheel.min_seq t.wheel in
+  if not (Cq.is_empty t.wheel) then begin
+    let tm = Cq.min_time t.wheel in
+    let sm = key_seq (Cq.min_key t.wheel) in
     if
       t.out_n = 0
       || tm < out_min_time t
@@ -276,11 +289,11 @@ let service t =
   let tf = out_min_time t in
   let sf = out_min_seq t in
   t.out_n <- t.out_n - 1;
-  (if not (Rto_wheel.is_empty t.wheel) then begin
-     let tm = Rto_wheel.min_time t.wheel in
-     let sm = Rto_wheel.min_seq t.wheel in
+  (if not (Cq.is_empty t.wheel) then begin
+     let tm = Cq.min_time t.wheel in
+     let sm = key_seq (Cq.min_key t.wheel) in
      if tm = tf && sm = sf then begin
-       let i = Rto_wheel.take t.wheel in
+       let i = key_flow (Cq.take_key t.wheel) in
        if Float.Array.get t.slot i = tf then begin
          set_slot t i Float.infinity;
          let d = Float.Array.get t.rto_deadline i in
@@ -506,8 +519,7 @@ let handle_data t (pkt : Netsim.Packet.t) =
 
 let create ~sim ~src ~dst ~base ~n cfg =
   if n < 1 then invalid_arg "Flow_soa.create: n >= 1 required";
-  if n > Rto_wheel.max_flows then
-    invalid_arg "Flow_soa.create: n exceeds Rto_wheel.max_flows";
+  if n > max_flows then invalid_arg "Flow_soa.create: n <= 2^20 required";
   if base < 0 then invalid_arg "Flow_soa.create: base >= 0 required";
   let reno = Window_cc.default_config cfg.rule in
   let ssthresh0 =
@@ -548,7 +560,7 @@ let create ~sim ~src ~dst ~base ~n cfg =
       rcv_pkts = Array.make n 0;
       ooo1 = Array.make n (-1);
       ooo_more = Hashtbl.create 16;
-      wheel = Rto_wheel.create ();
+      wheel = Cq.create ();
       tracked = 0;
       out_times = Float.Array.make 8 0.;
       out_seqs = Array.make 8 0;
@@ -609,48 +621,8 @@ let stats t i =
 
 (* --- wheel introspection (tests) -------------------------------------- *)
 
-let wheel_size t = Rto_wheel.size t.wheel
+let wheel_size t = Cq.size t.wheel
 let wheel_tracked t = t.tracked
-
-(* --- state snapshot ----------------------------------------------------
-   Same slice of sender state as [Window_cc.export_state]/[import_state]
-   (the fast-forward re-seed contract), so hybrid-engine code and tests
-   can move a flow between the two engines' representations. *)
-
-let export_state t i =
-  {
-    Window_cc.s_cwnd = Float.Array.get t.cwnd i;
-    s_ssthresh = Float.Array.get t.ssthresh i;
-    s_snd_una = t.snd_una.(i);
-    s_snd_nxt = t.snd_nxt.(i);
-    s_high_water = t.high_water.(i);
-    s_srtt = Float.Array.get t.srtt i;
-    s_rttvar = Float.Array.get t.rttvar i;
-    s_rtt_valid = get_flag t i f_rttvalid;
-    s_backoff = backoff t i;
-  }
-
-let import_state t i (s : Window_cc.state) =
-  Float.Array.set t.cwnd i s.Window_cc.s_cwnd;
-  Float.Array.set t.ssthresh i s.s_ssthresh;
-  t.snd_una.(i) <- s.s_snd_una;
-  t.snd_nxt.(i) <- s.s_snd_nxt;
-  t.high_water.(i) <- s.s_high_water;
-  Float.Array.set t.srtt i s.s_srtt;
-  Float.Array.set t.rttvar i s.s_rttvar;
-  set_flag t i f_rttvalid s.s_rtt_valid;
-  (let e = ref 0 in
-   while !e < 6 && float_of_int (1 lsl !e) < s.s_backoff do
-     incr e
-   done;
-   set_backoff_exp t i !e);
-  (* Transient loss-recovery machinery is cleared, as in Window_cc. *)
-  set_flag t i f_recovery false;
-  set_flag t i f_partial false;
-  set_dupacks t i 0;
-  t.recover.(i) <- s.s_snd_una - 1;
-  t.probe_seq.(i) <- -1;
-  Float.Array.set t.no_fastrtx_until i 0.
 
 let flow t i =
   {
@@ -669,7 +641,5 @@ let flow t i =
         else 0.);
     srtt = (fun () -> Float.Array.get t.srtt i);
     stats = (fun () -> stats t i);
-    (* SoA flows are driven in bulk by [ff_advance]/[export_state]; the
-       per-flow closure interface stays fluid-free. *)
     ff = None;
   }

@@ -42,7 +42,8 @@ type t
 
 (** [create ~sim ~src ~dst ~base ~n cfg] attaches [n] sender/sink pairs
     for flow ids [base .. base+n-1] between [src] and [dst] (data flows
-    [src] → [dst]).  Reserves dense dispatch slots on both nodes. *)
+    [src] → [dst]).  Reserves dense dispatch slots on both nodes.
+    @raise Invalid_argument unless [1 <= n <= 2^20] and [base >= 0]. *)
 val create :
   sim:Engine.Sim.t ->
   src:Netsim.Node.t ->
@@ -75,18 +76,6 @@ val stats : t -> int -> Flow.stats
 (** Closure view of flow index [i], for code that consumes {!Flow.t}
     (tracing, digests).  Allocates; not for per-packet use. *)
 val flow : t -> int -> Flow.t
-
-(** {2 State snapshots}
-
-    The same sender-state slice as {!Window_cc.export_state} — the
-    fast-forward re-seed contract — so flows can be moved between the
-    per-object and struct-of-arrays representations. *)
-
-val export_state : t -> int -> Window_cc.state
-
-(** Restore a snapshot into flow index [i]; transient loss-recovery
-    machinery (dupacks, recovery mode, RTT probe) is cleared. *)
-val import_state : t -> int -> Window_cc.state -> unit
 
 (** {2 RTO-wheel introspection} (tests / instrumentation)
 

@@ -550,56 +550,6 @@ let ff_ops t =
         ff_resume = (fun ~p -> ff_resume t ~p);
       }
 
-(* --- state export/import ----------------------------------------------- *)
-
-(* The slice of sender state the fast-forward re-seed contract covers;
-   shared with [Flow_soa] so hybrid tests can compare the two engines
-   field by field. *)
-type state = {
-  s_cwnd : float;
-  s_ssthresh : float;
-  s_snd_una : int;
-  s_snd_nxt : int;
-  s_high_water : int;
-  s_srtt : float;
-  s_rttvar : float;
-  s_rtt_valid : bool;
-  s_backoff : float;
-}
-
-let export_state t =
-  {
-    s_cwnd = t.cwnd;
-    s_ssthresh = t.ssthresh;
-    s_snd_una = t.snd_una;
-    s_snd_nxt = t.snd_nxt;
-    s_high_water = t.high_water;
-    s_srtt = t.srtt;
-    s_rttvar = t.rttvar;
-    s_rtt_valid = t.rtt_valid;
-    s_backoff = t.backoff;
-  }
-
-(* Import clears the transient loss-recovery machinery: an imported
-   state is by definition between recovery episodes. *)
-let import_state t s =
-  t.cwnd <- s.s_cwnd;
-  t.ssthresh <- s.s_ssthresh;
-  t.snd_una <- s.s_snd_una;
-  t.snd_nxt <- s.s_snd_nxt;
-  t.high_water <- s.s_high_water;
-  t.srtt <- s.s_srtt;
-  t.rttvar <- s.s_rttvar;
-  t.rtt_valid <- s.s_rtt_valid;
-  t.backoff <- s.s_backoff;
-  t.dupacks <- 0;
-  t.in_recovery <- false;
-  t.recover <- s.s_snd_una - 1;
-  t.first_partial_done <- false;
-  t.sacked <- IntSet.empty;
-  t.hole_rtx <- IntSet.empty;
-  t.rtt_probe <- None
-
 let flow t =
   {
     Flow.id = t.flow_id;

@@ -89,24 +89,6 @@ val ff_rate_pps : t -> p:float -> float
     resume (see the re-seed contract in DESIGN §11). *)
 val ff_resume : t -> p:float -> unit
 
-(** Sender-state snapshot: the slice the re-seed contract covers. *)
-type state = {
-  s_cwnd : float;
-  s_ssthresh : float;
-  s_snd_una : int;
-  s_snd_nxt : int;
-  s_high_water : int;
-  s_srtt : float;
-  s_rttvar : float;
-  s_rtt_valid : bool;
-  s_backoff : float;
-}
-
-val export_state : t -> state
-
-(** Restore a snapshot; transient loss-recovery machinery is cleared. *)
-val import_state : t -> state -> unit
-
 (** Introspection for tests and instrumentation. *)
 val cwnd : t -> float
 

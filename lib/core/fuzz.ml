@@ -598,8 +598,15 @@ let run_seeds ?pool ?(quick = false) ?out_dir ?(log = fun _ -> ())
   let soa_failures = ref [] in
   for seed = 0 to seeds - 1 do
     (* SoA leg: the struct-of-arrays many-flow engine must end
-       byte-identical to per-object senders on a randomized instance. *)
-    (match Manyflow.fuzz_check ~quick seed with
+       byte-identical to per-object senders on a randomized instance.
+       Fully audited like the baseline leg, so the RTO wheel's pop-order
+       check runs on every seed. *)
+    (match
+       Engine.Audit.with_flags ~lifetime:true ~invariants:true (fun () ->
+           try Manyflow.fuzz_check ~quick seed
+           with Engine.Audit.Violation msg ->
+             Some ("invariant violation: " ^ msg))
+     with
     | None -> ()
     | Some msg ->
       log (Printf.sprintf "seed %d SoA FAILED: %s" seed msg);

@@ -1,6 +1,6 @@
 (* ns-2-style calendar queue: a bucketed timer ring with automatic resize.
 
-   Events live in pooled nodes held in parallel arrays ([times]/[seqs]/
+   Events live in pooled nodes held in parallel arrays ([times]/[keys]/
    [vals]/[nexts]) and linked into per-bucket sorted lists by index, so
    steady-state add/take touches no allocator at all — the same
    zero-allocation discipline as [Event_heap].  Each bucket covers a
@@ -10,11 +10,17 @@
    own window the minimum is found by direct search, exactly as ns-2's
    scheduler does for sparse horizons.
 
-   Ordering is identical to [Event_heap]: lexicographic on (time, seq)
-   where [seq] is the global insertion counter, so FIFO within equal
-   timestamps.  Equal times always hash to the same bucket, and bucket
-   lists are kept sorted by (time, seq), which makes the tie-break exact
-   rather than approximate.
+   Ordering is lexicographic on (time, key).  For [add]ed values the key
+   is the global insertion counter, so ordering is identical to
+   [Event_heap]: FIFO within equal timestamps.  Equal times always hash
+   to the same bucket, and bucket lists are kept sorted by (time, key),
+   which makes the tie-break exact rather than approximate.
+
+   Keyed entries ([add_key]) carry no value: the key is the whole
+   payload.  [vals] stays [[||]] until the first insert that carries a
+   value, so a queue of keyed entries costs three pool arrays (24 B per
+   node) instead of four.  Keyed entries are only allowed in a [unit t],
+   which is what makes reading a payload-free node as [()] sound.
 
    The structure assumes the simulator's contract: times are finite,
    non-negative, and never earlier than the last dequeued time.  Earlier
@@ -24,8 +30,8 @@
 type 'a t = {
   (* node pool *)
   mutable times : float array;
-  mutable seqs : int array;
-  mutable vals : Obj.t array;
+  mutable keys : int array;
+  mutable vals : Obj.t array;  (* [||] until a value is stored *)
   mutable nexts : int array;
   mutable free : int;  (* free-list head, -1 when the pool is full *)
   (* calendar *)
@@ -35,11 +41,12 @@ type 'a t = {
   mutable cur : int;  (* absolute bucket number of the search cursor *)
   mutable size : int;
   mutable next_seq : int;
-  staging : floatarray;  (* unboxed hand-off slot for [add] *)
-  (* Last (time, seq) handed out by [take]; only read/written under
-     [Audit.invariants_on] to assert (time, insertion-order) pop order. *)
+  staging : floatarray;  (* unboxed hand-off slot for [insert_staged] *)
+  (* Last (time, key) handed out by [take]/[take_key]; only read/written
+     under [Audit.invariants_on] to assert (time, insertion-order) pop
+     order. *)
   mutable last_pop_time : float;
-  mutable last_pop_seq : int;
+  mutable last_pop_key : int;
 }
 
 let dummy : Obj.t = Obj.repr ()
@@ -50,7 +57,7 @@ let min_buckets = 8
 let create () =
   {
     times = [||];
-    seqs = [||];
+    keys = [||];
     vals = [||];
     nexts = [||];
     free = -1;
@@ -62,7 +69,7 @@ let create () =
     next_seq = 0;
     staging = Float.Array.create 1;
     last_pop_time = Float.neg_infinity;
-    last_pop_seq = -1;
+    last_pop_key = -1;
   }
 
 let is_empty t = t.size = 0
@@ -76,13 +83,17 @@ let grow_pool t =
   let cap = Array.length t.times in
   let new_cap = if cap = 0 then initial_nodes else cap * 2 in
   let times = Array.make new_cap 0. in
-  let seqs = Array.make new_cap 0 in
-  let vals = Array.make new_cap dummy in
+  let keys = Array.make new_cap 0 in
   let nexts = Array.make new_cap (-1) in
   Array.blit t.times 0 times 0 cap;
-  Array.blit t.seqs 0 seqs 0 cap;
-  Array.blit t.vals 0 vals 0 cap;
+  Array.blit t.keys 0 keys 0 cap;
   Array.blit t.nexts 0 nexts 0 cap;
+  (* [vals], once it exists, stays as long as the pool. *)
+  if Array.length t.vals > 0 then begin
+    let vals = Array.make new_cap dummy in
+    Array.blit t.vals 0 vals 0 cap;
+    t.vals <- vals
+  end;
   (* Chain the new slots into the free list. *)
   for i = cap to new_cap - 2 do
     nexts.(i) <- i + 1
@@ -90,8 +101,7 @@ let grow_pool t =
   nexts.(new_cap - 1) <- t.free;
   t.free <- cap;
   t.times <- times;
-  t.seqs <- seqs;
-  t.vals <- vals;
+  t.keys <- keys;
   t.nexts <- nexts
 
 (* Absolute bucket number of [time] under the current width. *)
@@ -100,7 +110,7 @@ let[@inline] bucket_number t time = int_of_float (time /. t.width)
 (* Insert node [n] (fields already set) into its bucket's sorted list. *)
 let insert_node t n =
   let time = Array.unsafe_get t.times n in
-  let seq = Array.unsafe_get t.seqs n in
+  let key = Array.unsafe_get t.keys n in
   let bn = bucket_number t time in
   if bn < t.cur then t.cur <- bn;
   let b = bn land t.mask in
@@ -109,7 +119,7 @@ let insert_node t n =
     head < 0
     || time < Array.unsafe_get t.times head
     || (time = Array.unsafe_get t.times head
-        && seq < Array.unsafe_get t.seqs head)
+        && key < Array.unsafe_get t.keys head)
   then begin
     Array.unsafe_set t.nexts n head;
     Array.unsafe_set t.buckets b n
@@ -123,7 +133,7 @@ let insert_node t n =
       if nx < 0 then continue_ := false
       else begin
         let tx = Array.unsafe_get t.times nx in
-        if tx < time || (tx = time && Array.unsafe_get t.seqs nx < seq) then
+        if tx < time || (tx = time && Array.unsafe_get t.keys nx < key) then
           prev := nx
         else continue_ := false
       end
@@ -181,21 +191,31 @@ let resize t nb =
   t.cur <- (if t.size = 0 then 0 else bucket_number t live.(0));
   Array.iter (fun n -> insert_node t n) nodes
 
-let add_staged t v =
+(* The one insert path.  The time arrives through [staging], so an
+   inlined caller hands it over unboxed; returns the new node. *)
+let[@inline] insert_staged t key =
   let time = Float.Array.unsafe_get t.staging 0 in
   if t.free < 0 then grow_pool t;
   let n = t.free in
   t.free <- Array.unsafe_get t.nexts n;
   Array.unsafe_set t.times n time;
-  Array.unsafe_set t.seqs n t.next_seq;
-  t.next_seq <- t.next_seq + 1;
-  Array.unsafe_set t.vals n v;
+  Array.unsafe_set t.keys n key;
   insert_node t n;
   t.size <- t.size + 1;
-  if t.size > 2 * (t.mask + 1) then resize t (2 * (t.mask + 1))
+  if t.size > 2 * (t.mask + 1) then resize t (2 * (t.mask + 1));
+  n
 
-(* The staging slot lets an inlined caller hand the (unboxed) time to the
-   out-of-line body without boxing it at the call boundary. *)
+(* The first value stored allocates [vals] at the pool's size. *)
+let[@inline] store_value t n v =
+  if Array.length t.vals = 0 then
+    t.vals <- Array.make (Array.length t.times) dummy;
+  Array.unsafe_set t.vals n v
+
+let add_staged t v =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  store_value t (insert_staged t seq) v
+
 let[@inline] add t ~time value =
   if not (Float.is_finite time) || time < 0. then
     invalid_arg "Calendar_queue.add: time must be finite and non-negative";
@@ -207,24 +227,23 @@ let alloc_seq t =
   t.next_seq <- seq + 1;
   seq
 
-(* Unlike [Event_heap.add_with_seq], no [seq < next_seq] guard: the
-   consolidated RTO wheel is itself a calendar queue whose entries carry
-   seqs allocated from the *simulator's* queue, so its own counter never
-   advances. *)
+(* Unlike [Event_heap.add_with_seq], no [seq < next_seq] guard: a seq
+   may come from another queue's counter, so this queue's own counter
+   need never have reached it. *)
 let add_with_seq t ~time ~seq value =
   if not (Float.is_finite time) || time < 0. then
     invalid_arg
       "Calendar_queue.add_with_seq: time must be finite and non-negative";
   if seq < 0 then invalid_arg "Calendar_queue.add_with_seq: negative seq";
-  if t.free < 0 then grow_pool t;
-  let n = t.free in
-  t.free <- Array.unsafe_get t.nexts n;
-  Array.unsafe_set t.times n time;
-  Array.unsafe_set t.seqs n seq;
-  Array.unsafe_set t.vals n (Obj.repr value);
-  insert_node t n;
-  t.size <- t.size + 1;
-  if t.size > 2 * (t.mask + 1) then resize t (2 * (t.mask + 1))
+  Float.Array.unsafe_set t.staging 0 time;
+  store_value t (insert_staged t seq) (Obj.repr value)
+
+let[@inline] add_key t ~time ~key =
+  if not (Float.is_finite time) || time < 0. then
+    invalid_arg "Calendar_queue.add_key: time must be finite and non-negative";
+  if key < 0 then invalid_arg "Calendar_queue.add_key: negative key";
+  Float.Array.unsafe_set t.staging 0 time;
+  ignore (insert_staged t key)
 
 (* Nothing inside its own window for a whole year: direct search over
    the bucket heads (each head is its bucket's minimum).  Rare — only
@@ -241,7 +260,7 @@ let direct_search t =
       && (!best_n < 0
          || Array.unsafe_get t.times h < Array.unsafe_get t.times !best_n
          || (Array.unsafe_get t.times h = Array.unsafe_get t.times !best_n
-             && Array.unsafe_get t.seqs h < Array.unsafe_get t.seqs !best_n))
+             && Array.unsafe_get t.keys h < Array.unsafe_get t.keys !best_n))
     then begin
       best_b := b;
       best_n := h
@@ -278,41 +297,57 @@ let find_min_bucket t =
   done;
   if !found >= 0 then !found else direct_search t
 
+(* The one remove path: unlink bucket [b]'s head and return its node.
+   The node's fields stay readable until the next insert reuses it. *)
 let remove_head t b =
   let n = Array.unsafe_get t.buckets b in
   Array.unsafe_set t.buckets b (Array.unsafe_get t.nexts n);
   Array.unsafe_set t.nexts n t.free;
   t.free <- n;
   t.size <- t.size - 1;
-  let v = Array.unsafe_get t.vals n in
-  Array.unsafe_set t.vals n dummy;
   let nb = t.mask + 1 in
   (* Shrink at size < nb/4, not ns-2's nb/2: paired with growth at
      2*nb this leaves an 8x hysteresis band, so a pending-event count
      that breathes with the congestion window (2-4x over an RTT) never
      thrashes the ring through rebuild storms. *)
   if nb > min_buckets && t.size < nb / 4 then resize t (nb / 2);
-  v
+  n
+
+(* Detach removed node [n]'s value.  A queue without [vals] has only
+   ever held keyed entries, so it is a [unit t] and [dummy] is [()]. *)
+let[@inline] value_of t n =
+  if Array.length t.vals = 0 then Obj.obj dummy
+  else begin
+    let v = Array.unsafe_get t.vals n in
+    Array.unsafe_set t.vals n dummy;
+    Obj.obj v
+  end
+
+(* Pops must come in (time, key) order.  Keys are seq-major — a plain
+   seq, or a seq packed above a small index — so at equal times this is
+   the FIFO check. *)
+let audit_pop t n =
+  let time = Array.unsafe_get t.times n and key = Array.unsafe_get t.keys n in
+  if time < t.last_pop_time || (time = t.last_pop_time && key < t.last_pop_key)
+  then
+    Audit.fail
+      "Calendar_queue.take: popped (t=%.17g, key=%d) after (t=%.17g, \
+       key=%d) — FIFO order at equal timestamps broken"
+      time key t.last_pop_time t.last_pop_key;
+  t.last_pop_time <- time;
+  t.last_pop_key <- key
 
 let take t =
   if t.size = 0 then invalid_arg "Calendar_queue.take: empty queue";
   let b = find_min_bucket t in
-  if Audit.invariants_on () then begin
-    let n = Array.unsafe_get t.buckets b in
-    let time = Array.unsafe_get t.times n
-    and seq = Array.unsafe_get t.seqs n in
-    if
-      time < t.last_pop_time
-      || (time = t.last_pop_time && seq < t.last_pop_seq)
-    then
-      Audit.fail
-        "Calendar_queue.take: popped (t=%.17g, seq=%d) after (t=%.17g, \
-         seq=%d) — FIFO order at equal timestamps broken"
-        time seq t.last_pop_time t.last_pop_seq;
-    t.last_pop_time <- time;
-    t.last_pop_seq <- seq
-  end;
-  Obj.obj (remove_head t b)
+  if Audit.invariants_on () then audit_pop t (Array.unsafe_get t.buckets b);
+  value_of t (remove_head t b)
+
+let take_key t =
+  if t.size = 0 then invalid_arg "Calendar_queue.take_key: empty queue";
+  let b = find_min_bucket t in
+  if Audit.invariants_on () then audit_pop t (Array.unsafe_get t.buckets b);
+  Array.unsafe_get t.keys (remove_head t b)
 
 (* Earliest time; NaN if empty — callers check [is_empty] first.  Marked
    [@inline] so the float result stays unboxed in the drain loop. *)
@@ -325,23 +360,65 @@ let[@inline] min_time t =
 
 let peek_time t = if t.size = 0 then None else Some (min_time t)
 
-(* Insertion seq of the earliest event; [Invalid_argument] when empty. *)
-let min_seq t =
-  if t.size = 0 then invalid_arg "Calendar_queue.min_seq: empty queue"
+let min_key t =
+  if t.size = 0 then invalid_arg "Calendar_queue.min_key: empty queue"
   else begin
     let b = find_min_bucket t in
-    Array.unsafe_get t.seqs (Array.unsafe_get t.buckets b)
+    Array.unsafe_get t.keys (Array.unsafe_get t.buckets b)
   end
 
 let pop t =
   if t.size = 0 then None
   else begin
     let b = find_min_bucket t in
-    let n = Array.unsafe_get t.buckets b in
-    let time = Array.unsafe_get t.times n in
-    let v = remove_head t b in
-    Some (time, Obj.obj v)
+    let time = Array.unsafe_get t.times (Array.unsafe_get t.buckets b) in
+    Some (time, value_of t (remove_head t b))
   end
+
+(* Drop every entry for which [keep ~key ~time] is false, in one O(size)
+   rebuild.  Survivors keep their (time, key) order; the minimum can
+   only move later, which lazy service entries already tolerate.  Does
+   not reset the Audit pop watermark — sweeps remove only entries that
+   would have popped as no-ops.  Only for a [unit t], so no value needs
+   releasing. *)
+let filter t ~keep =
+  let live = Array.make t.size 0. in
+  let nodes = Array.make t.size 0 in
+  let kept = ref 0 in
+  Array.iter
+    (fun head ->
+      let n = ref head in
+      while !n >= 0 do
+        let nx = Array.unsafe_get t.nexts !n in
+        let time = Array.unsafe_get t.times !n in
+        if keep ~key:(Array.unsafe_get t.keys !n) ~time then begin
+          live.(!kept) <- time;
+          nodes.(!kept) <- !n;
+          incr kept
+        end
+        else begin
+          Array.unsafe_set t.nexts !n t.free;
+          t.free <- !n
+        end;
+        n := nx
+      done)
+    t.buckets;
+  t.size <- !kept;
+  (* Re-bucket the survivors with a width fitted to what remains, sized
+     by the same 2x growth threshold [add] uses. *)
+  let nb = ref initial_buckets in
+  while t.size > 2 * !nb do
+    nb := 2 * !nb
+  done;
+  let live = Array.sub live 0 !kept in
+  t.width <- estimate_width t live;
+  t.buckets <- Array.make !nb (-1);
+  t.mask <- !nb - 1;
+  Array.sort Float.compare live;
+  t.cur <- (if t.size = 0 then 0 else bucket_number t live.(0));
+  for j = 0 to !kept - 1 do
+    insert_node t nodes.(j)
+  done
 
 let clear t =
   Array.fill t.vals 0 (Array.length t.vals) dummy;
@@ -355,4 +432,4 @@ let clear t =
   t.size <- 0;
   t.cur <- 0;
   t.last_pop_time <- Float.neg_infinity;
-  t.last_pop_seq <- -1
+  t.last_pop_key <- -1

@@ -4,7 +4,11 @@
     matching {!Event_heap}'s API and ordering contract exactly: events pop
     in lexicographic (time, insertion-order) order, so FIFO within equal
     timestamps.  Steady-state add/take allocates nothing — nodes live in
-    pooled parallel arrays and are linked into buckets by index. *)
+    pooled parallel arrays and are linked into buckets by index.
+
+    Every entry has an integer key that breaks time ties: [add] uses the
+    insertion counter, [add_with_seq] an explicit seq, and {!add_key}
+    any caller-chosen key, with no value at all. *)
 
 type 'a t
 
@@ -22,20 +26,20 @@ val add : 'a t -> time:float -> 'a -> unit
     explicitly chosen seq.  Used by the consolidated RTO wheel to place
     its single simulator entry at the exact logical position a per-flow
     insertion would have had.  The caller must preserve pop-order: never
-    insert a (time, seq) pair sorting before an already dequeued event. *)
+    insert a (time, seq) pair sorting before an already dequeued event.
+    The seq is the entry's key ({!min_key}). *)
 
 (** Advance the insertion counter by one and return the burned value. *)
 val alloc_seq : 'a t -> int
 
 (** [add_with_seq t ~time ~seq v] schedules [v] at [time] with the
     explicit tie-break [seq].  [seq] may come from another queue's
-    counter (the wheel stores simulator seqs); it only has to be
-    non-negative and respect pop-order. *)
+    counter; it only has to be non-negative and respect pop-order. *)
 val add_with_seq : 'a t -> time:float -> seq:int -> 'a -> unit
 
-(** Insertion seq of the earliest event.  Raises [Invalid_argument] on an
-    empty queue. *)
-val min_seq : 'a t -> int
+(** Key of the earliest event: its insertion seq unless it was added
+    with {!add_key}.  Raises [Invalid_argument] on an empty queue. *)
+val min_key : 'a t -> int
 
 (** Remove and return the earliest event, or [None] if empty. *)
 val pop : 'a t -> (float * 'a) option
@@ -54,6 +58,29 @@ val peek_time : 'a t -> float option
 
 val size : 'a t -> int
 val is_empty : 'a t -> bool
+
+(** {2 Keyed entries}
+
+    An entry whose key is its whole payload: no value slot is written,
+    and a queue that only ever holds keyed entries never allocates its
+    value array, so a node costs three words instead of four.  Keys
+    order ties at equal times, like seqs do; a caller that packs
+    [seq lsl bits lor index] with unique seqs keeps (time, seq) FIFO
+    order.  Keyed entries live in a [unit t], so {!take} or {!pop} of
+    one returns [()]. *)
+
+(** [add_key t ~time ~key] inserts a keyed entry.
+    @raise Invalid_argument on a non-finite or negative time, or a
+    negative key. *)
+val add_key : unit t -> time:float -> key:int -> unit
+
+(** Remove the earliest entry and return its key.
+    @raise Invalid_argument when empty. *)
+val take_key : unit t -> int
+
+(** Keep only entries satisfying [keep ~key ~time], in one O(size)
+    rebuild.  Survivors keep their (time, key) order. *)
+val filter : unit t -> keep:(key:int -> time:float -> bool) -> unit
 
 (** Drop all events.  Vacated slots are overwritten so the GC can reclaim
     the dropped payloads immediately. *)

@@ -36,11 +36,23 @@ let id t = t.id
 let add_route t ~dst link = Hashtbl.replace t.routes dst link
 let set_default_route t link = t.default_route <- Some link
 
+(* Sparse entries the grown range now covers move into it, keeping the
+   invariant above.  Non-negative sparse ids are all >= [dense_limit],
+   so only [reserve] growing the table past it can cover one. *)
 let grow_dense t want =
   let cur = Array.length t.agents_dense in
   let target = max want (max 16 (2 * cur)) in
   let a = Array.make target no_agent in
   Array.blit t.agents_dense 0 a 0 cur;
+  if target > dense_limit then
+    Hashtbl.filter_map_inplace
+      (fun flow handler ->
+        if flow >= cur && flow < target then begin
+          a.(flow) <- handler;
+          None
+        end
+        else Some handler)
+      t.agents;
   t.agents_dense <- a
 
 let reserve t ~flows = if flows > Array.length t.agents_dense then grow_dense t flows

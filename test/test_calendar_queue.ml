@@ -1,6 +1,7 @@
 (* Calendar-queue unit tests plus the heap/calendar equivalence suite
    that gates the default-scheduler flip: both queues must pop the same
-   (time, id) stream in the identical order, FIFO ties included. *)
+   (time, id) stream in the identical order, FIFO ties included.  Keyed
+   entries, the SoA RTO wheel's layout, are checked against a model. *)
 
 module Cq = Engine.Calendar_queue
 module Eh = Engine.Event_heap
@@ -317,7 +318,7 @@ let test_explicit_seq_order () =
   Cq.add_with_seq q ~time:1. ~seq:s2 "second";
   Cq.add q ~time:1. "third";
   Cq.add_with_seq q ~time:1. ~seq:s1 "first";
-  Alcotest.(check int) "min_seq" s1 (Cq.min_seq q);
+  Alcotest.(check int) "min_key" s1 (Cq.min_key q);
   let pop () =
     match Cq.pop q with
     | Some (_, v) -> v
@@ -332,9 +333,9 @@ let test_explicit_seq_validation () =
   Alcotest.check_raises "negative seq"
     (Invalid_argument "Calendar_queue.add_with_seq: negative seq") (fun () ->
       Cq.add_with_seq q ~time:1. ~seq:(-1) ());
-  Alcotest.check_raises "min_seq empty"
-    (Invalid_argument "Calendar_queue.min_seq: empty queue") (fun () ->
-      ignore (Cq.min_seq q))
+  Alcotest.check_raises "min_key empty"
+    (Invalid_argument "Calendar_queue.min_key: empty queue") (fun () ->
+      ignore (Cq.min_key q))
 
 let test_explicit_seq_across_resize () =
   (* Foreign seqs (a second queue's counter, as the wheel does with the
@@ -349,12 +350,160 @@ let test_explicit_seq_across_resize () =
   let last = ref (-1., -1) in
   for _ = 1 to n do
     let tm = Cq.min_time q in
-    let sm = Cq.min_seq q in
+    let sm = Cq.min_key q in
     if (tm, sm) <= !last then Alcotest.fail "pop order not (time, seq)";
     last := (tm, sm);
     ignore (Cq.take q)
   done;
   Alcotest.(check bool) "drained" true (Cq.is_empty q)
+
+(* --- keyed entries --------------------------------------------------- *)
+
+(* Keys as the SoA RTO wheel packs them: a unique seq above a 20-bit
+   flow index. *)
+let flow_bits = 20
+let flow_mask = (1 lsl flow_bits) - 1
+let pack ~seq flow = (seq lsl flow_bits) lor flow
+
+let test_keyed_order () =
+  let q : unit Cq.t = Cq.create () in
+  Alcotest.(check bool) "fresh empty" true (Cq.is_empty q);
+  (* Insertion order deliberately scrambled; seqs are unique and
+     monotone within each time, as Sim.alloc_seq guarantees. *)
+  let entries =
+    [ (0.5, 3, 1); (0.25, 1, 0); (0.5, 2, 7); (1.0, 4, 2); (0.25, 0, 5) ]
+  in
+  List.iter
+    (fun (time, seq, flow) -> Cq.add_key q ~time ~key:(pack ~seq flow))
+    entries;
+  Alcotest.(check int) "size" 5 (Cq.size q);
+  let popped = ref [] in
+  while not (Cq.is_empty q) do
+    let tm = Cq.min_time q in
+    let sq = Cq.min_key q lsr flow_bits in
+    popped := (tm, sq, Cq.take_key q land flow_mask) :: !popped
+  done;
+  Alcotest.(check bool)
+    "pops in (time, seq) order" true
+    (List.rev !popped
+    = [ (0.25, 0, 5); (0.25, 1, 0); (0.5, 2, 7); (0.5, 3, 1); (1.0, 4, 2) ])
+
+let test_keyed_filter () =
+  let q : unit Cq.t = Cq.create () in
+  for i = 0 to 99 do
+    Cq.add_key q ~time:(float_of_int (i mod 10) *. 0.1) ~key:(pack ~seq:i i)
+  done;
+  (* Keep only flows under 50 — mimics sweeping stale entries. *)
+  Cq.filter q ~keep:(fun ~key ~time:_ -> key land flow_mask < 50);
+  Alcotest.(check int) "filtered size" 50 (Cq.size q);
+  let last = ref (-1., -1) in
+  while not (Cq.is_empty q) do
+    let tm = Cq.min_time q in
+    let sq = Cq.min_key q lsr flow_bits in
+    let fl = Cq.take_key q land flow_mask in
+    Alcotest.(check bool) "survivor" true (fl < 50);
+    Alcotest.(check bool) "order preserved" true ((tm, sq) > !last);
+    last := (tm, sq)
+  done
+
+let test_keyed_validation () =
+  let q : unit Cq.t = Cq.create () in
+  Alcotest.check_raises "negative time"
+    (Invalid_argument
+       "Calendar_queue.add_key: time must be finite and non-negative")
+    (fun () -> Cq.add_key q ~time:(-1.) ~key:0);
+  Alcotest.check_raises "negative key"
+    (Invalid_argument "Calendar_queue.add_key: negative key") (fun () ->
+      Cq.add_key q ~time:0. ~key:(-1));
+  Alcotest.check_raises "take_key empty"
+    (Invalid_argument "Calendar_queue.take_key: empty queue") (fun () ->
+      ignore (Cq.take_key q))
+
+(* A keyed entry has no value slot to read: [take] of one returns [()],
+   whether or not the queue has stored a value yet. *)
+let test_keyed_and_valued_mix () =
+  let q : unit Cq.t = Cq.create () in
+  Cq.add_key q ~time:1. ~key:7;
+  Cq.take q;
+  Alcotest.(check bool) "drained" true (Cq.is_empty q);
+  Cq.add q ~time:2. ();
+  Cq.add_key q ~time:0.5 ~key:3;
+  Cq.add_key q ~time:3. ~key:9;
+  Alcotest.(check int) "keyed first" 3 (Cq.take_key q);
+  check_float "valued next" 2. (Cq.min_time q);
+  Cq.take q;
+  Cq.take q;
+  Alcotest.(check bool) "empty" true (Cq.is_empty q)
+
+(* Random interleavings of add_key, take_key and filter against a
+   sorted-list model.  Times are quantized so exact-time ties are
+   frequent; keys pack unique, increasing seqs above random flows. *)
+let keyed_model_run ~seed ~ops =
+  let st = Random.State.make [| seed |] in
+  let q : unit Cq.t = Cq.create () in
+  let model = ref [] in
+  let last = ref 0. in
+  let next_seq = ref 0 in
+  let quantum = 1. /. 64. in
+  let take () =
+    match !model with
+    | [] -> Alcotest.fail "take on an empty model"
+    | (tm, k) :: rest ->
+      let qt = Cq.min_time q and qk = Cq.min_key q in
+      let popped = Cq.take_key q in
+      if qt <> tm || qk <> k || popped <> k then
+        Alcotest.failf "pop mismatch: queue (%g, %d) vs model (%g, %d)" qt
+          popped tm k;
+      last := tm;
+      model := rest
+  in
+  for _ = 1 to ops do
+    (match Random.State.int st 20 with
+    | 0 ->
+      let m = 2 + Random.State.int st 4 in
+      let keep ~key ~time =
+        ((key land flow_mask) + int_of_float (time /. quantum)) mod m <> 0
+      in
+      Cq.filter q ~keep;
+      model := List.filter (fun (time, key) -> keep ~key ~time) !model
+    | k when k < 12 || !model = [] ->
+      let time =
+        !last +. (float_of_int (Random.State.int st 16) *. quantum)
+      in
+      let key = pack ~seq:!next_seq (Random.State.int st (flow_mask + 1)) in
+      incr next_seq;
+      Cq.add_key q ~time ~key;
+      model := List.merge compare [ (time, key) ] !model
+    | _ -> take ());
+    if Cq.size q <> List.length !model then Alcotest.fail "size mismatch"
+  done;
+  while !model <> [] do
+    take ()
+  done;
+  Alcotest.(check bool) "queue drained with the model" true (Cq.is_empty q)
+
+let prop_keyed_model =
+  QCheck2.Test.make ~name:"keyed entries pop like a sorted list" ~count:100
+    QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 2_000))
+    (fun (seed, ops) ->
+      keyed_model_run ~seed ~ops;
+      true)
+
+(* Keyed entries never allocate the value array, one word per pool
+   slot.  Without this, a queue of 10^5 RTO-wheel entries pays a fourth
+   pool array. *)
+let test_keyed_memory () =
+  let keyed : unit Cq.t = Cq.create () in
+  let valued : unit Cq.t = Cq.create () in
+  for i = 0 to 999 do
+    let time = float_of_int i *. 1e-3 in
+    Cq.add_key keyed ~time ~key:i;
+    Cq.add valued ~time ()
+  done;
+  let words q = Obj.reachable_words (Obj.repr q) in
+  let wk = words keyed and wv = words valued in
+  if wk + 1000 > wv then
+    Alcotest.failf "keyed queue reaches %d words, valued %d" wk wv
 
 let suite =
   [
@@ -386,4 +535,12 @@ let suite =
       test_sim_scheduler_selection;
     Alcotest.test_case "Scheduler string round-trip" `Quick
       test_scheduler_strings;
+    Alcotest.test_case "keyed (time, seq) order" `Quick test_keyed_order;
+    Alcotest.test_case "keyed filter" `Quick test_keyed_filter;
+    Alcotest.test_case "keyed validation" `Quick test_keyed_validation;
+    Alcotest.test_case "keyed and valued entries mix" `Quick
+      test_keyed_and_valued_mix;
+    QCheck_alcotest.to_alcotest prop_keyed_model;
+    Alcotest.test_case "keyed entries skip the value array" `Quick
+      test_keyed_memory;
   ]

@@ -111,46 +111,6 @@ let test_sawtooth_matches_closed_form () =
        ~max_window:1e9 ~p:0.
     = None)
 
-(* --- re-seed round-trips --- *)
-
-let db_fixture ?(bandwidth = 4e6) () =
-  let sim = Engine.Sim.create () in
-  let rng = Engine.Rng.create ~seed:7 in
-  let config = Netsim.Dumbbell.default_config ~bandwidth in
-  let db = Netsim.Dumbbell.create ~sim ~rng config in
-  (sim, db)
-
-let test_window_cc_state_roundtrip () =
-  let sim, db = db_fixture () in
-  let src, dst = Netsim.Dumbbell.add_host_pair db in
-  let flow_id = Netsim.Dumbbell.fresh_flow db in
-  let cfg =
-    Cc.Window_cc.default_config (Cc.Window_cc.tcp_compatible_aimd ~b:0.5)
-  in
-  let a = Cc.Window_cc.create ~sim ~src ~dst ~flow:flow_id cfg in
-  (Cc.Window_cc.flow a).Cc.Flow.start ();
-  Engine.Sim.run ~until:3. sim;
-  let s = Cc.Window_cc.export_state a in
-  Alcotest.(check bool) "snapshot progressed" true (s.Cc.Window_cc.s_snd_una > 0);
-  Cc.Window_cc.import_state a s;
-  let s' = Cc.Window_cc.export_state a in
-  Alcotest.(check bool) "import/export fixpoint" true (s = s')
-
-let test_flow_soa_state_roundtrip () =
-  (* Export from the per-object engine's twin, import into SoA slot 0,
-     and read it back: the re-seed slice must survive the transfer. *)
-  let p = { (Slowcc.Manyflow.default_params ~n:4) with
-            Slowcc.Manyflow.duration = 2.; warmup = 0. } in
-  let b = Slowcc.Manyflow.build_soa p in
-  Engine.Sim.run ~until:2. b.Slowcc.Manyflow.sim;
-  let eng = b.Slowcc.Manyflow.eng in
-  let s = Cc.Flow_soa.export_state eng 0 in
-  Alcotest.(check bool) "soa snapshot progressed" true
-    (s.Cc.Window_cc.s_snd_una > 0);
-  Cc.Flow_soa.import_state eng 1 s;
-  let s' = Cc.Flow_soa.export_state eng 1 in
-  Alcotest.(check bool) "soa import/export fixpoint" true (s = s')
-
 (* --- controller on the quick scenarios --- *)
 
 (* No armed interval may contain a scheduled transient: each Arm's
@@ -313,10 +273,6 @@ let suite =
     Alcotest.test_case "detector loss band" `Quick test_detector_loss_band;
     Alcotest.test_case "sawtooth closed form" `Quick
       test_sawtooth_matches_closed_form;
-    Alcotest.test_case "window_cc state roundtrip" `Quick
-      test_window_cc_state_roundtrip;
-    Alcotest.test_case "flow_soa state roundtrip" `Quick
-      test_flow_soa_state_roundtrip;
     Alcotest.test_case "square wave arms" `Slow test_square_wave_ff_arms;
     Alcotest.test_case "square wave ff-off inert" `Quick
       test_square_wave_ff_off_inert;

@@ -115,58 +115,11 @@ let test_create_validation () =
       ignore (Cc.Flow_soa.create ~sim ~src ~dst ~base:0 ~n:0 cfg));
   Alcotest.check_raises "negative base"
     (Invalid_argument "Flow_soa.create: base >= 0 required") (fun () ->
-      ignore (Cc.Flow_soa.create ~sim ~src ~dst ~base:(-1) ~n:1 cfg))
-
-(* --- consolidated RTO wheel (packed seq+flow nodes) --- *)
-
-let test_rto_wheel_order () =
-  let w = Cc.Rto_wheel.create () in
-  Alcotest.(check bool) "fresh empty" true (Cc.Rto_wheel.is_empty w);
-  (* Insertion order deliberately scrambled; seqs are unique and
-     monotone within each time, as Sim.alloc_seq guarantees. *)
-  let entries =
-    [ (0.5, 3, 1); (0.25, 1, 0); (0.5, 2, 7); (1.0, 4, 2); (0.25, 0, 5) ]
-  in
-  List.iter (fun (time, seq, flow) -> Cc.Rto_wheel.add w ~time ~seq ~flow)
-    entries;
-  Alcotest.(check int) "size" 5 (Cc.Rto_wheel.size w);
-  let popped = ref [] in
-  while not (Cc.Rto_wheel.is_empty w) do
-    let tm = Cc.Rto_wheel.min_time w in
-    let sq = Cc.Rto_wheel.min_seq w in
-    popped := (tm, sq, Cc.Rto_wheel.take w) :: !popped
-  done;
-  Alcotest.(check bool)
-    "pops in (time, seq) order" true
-    (List.rev !popped
-    = [ (0.25, 0, 5); (0.25, 1, 0); (0.5, 2, 7); (0.5, 3, 1); (1.0, 4, 2) ])
-
-let test_rto_wheel_filter () =
-  let w = Cc.Rto_wheel.create () in
-  for i = 0 to 99 do
-    Cc.Rto_wheel.add w ~time:(float_of_int (i mod 10) *. 0.1) ~seq:i ~flow:i
-  done;
-  (* Keep only flows under 50 — mimics sweeping stale entries. *)
-  Cc.Rto_wheel.filter w ~keep:(fun ~flow ~time:_ -> flow < 50);
-  Alcotest.(check int) "filtered size" 50 (Cc.Rto_wheel.size w);
-  let last = ref (-1., -1) in
-  while not (Cc.Rto_wheel.is_empty w) do
-    let tm = Cc.Rto_wheel.min_time w in
-    let sq = Cc.Rto_wheel.min_seq w in
-    let fl = Cc.Rto_wheel.take w in
-    Alcotest.(check bool) "survivor" true (fl < 50);
-    Alcotest.(check bool) "order preserved" true ((tm, sq) > !last);
-    last := (tm, sq)
-  done
-
-let test_rto_wheel_validation () =
-  let w = Cc.Rto_wheel.create () in
-  Alcotest.check_raises "negative time"
-    (Invalid_argument "Rto_wheel.add: time must be finite and non-negative")
-    (fun () -> Cc.Rto_wheel.add w ~time:(-1.) ~seq:0 ~flow:0);
-  Alcotest.check_raises "flow out of range"
-    (Invalid_argument "Rto_wheel.add: flow out of range") (fun () ->
-      Cc.Rto_wheel.add w ~time:0. ~seq:0 ~flow:Cc.Rto_wheel.max_flows)
+      ignore (Cc.Flow_soa.create ~sim ~src ~dst ~base:(-1) ~n:1 cfg));
+  (* RTO wheel keys hold the flow index in 20 bits. *)
+  Alcotest.check_raises "n > 2^20"
+    (Invalid_argument "Flow_soa.create: n <= 2^20 required") (fun () ->
+      ignore (Cc.Flow_soa.create ~sim ~src ~dst ~base:0 ~n:((1 lsl 20) + 1) cfg))
 
 (* Lazy re-arming strands stale wheel entries; the sweep in the SoA
    engine must keep the total bounded by 2 * live + 64 whatever the
@@ -206,11 +159,6 @@ let suite =
     Alcotest.test_case "stop freezes senders" `Quick test_stop_freezes_senders;
     Alcotest.test_case "Flow.t view consistent" `Quick test_flow_view_consistent;
     Alcotest.test_case "create validation" `Quick test_create_validation;
-    Alcotest.test_case "RTO wheel (time, seq) order" `Quick
-      test_rto_wheel_order;
-    Alcotest.test_case "RTO wheel filter" `Quick test_rto_wheel_filter;
-    Alcotest.test_case "RTO wheel validation" `Quick
-      test_rto_wheel_validation;
     Alcotest.test_case "wheel size bounded by live entries" `Quick
       test_wheel_size_bounded;
   ]

@@ -112,6 +112,24 @@ let test_unattached_dense_id_discarded () =
     "reserved but unattached id discards" 1
     (Netsim.Node.discarded node)
 
+(* [reserve] may grow the dense table past its id ceiling.  A flow
+   attached on the sparse path before that must move into the table, or
+   the receive path's range test finds an empty dense slot. *)
+let test_reserve_adopts_sparse_agent () =
+  let node = Netsim.Node.create ~id:5 in
+  let flow = 1 lsl 20 in
+  let hits = ref 0 in
+  Netsim.Node.attach node ~flow (fun _ -> incr hits);
+  Netsim.Node.receive node (mk_pkt ~flow ~dst:5);
+  Netsim.Node.reserve node ~flows:(flow + 1);
+  Netsim.Node.receive node (mk_pkt ~flow ~dst:5);
+  Alcotest.(check int) "delivered before and after reserve" 2 !hits;
+  Alcotest.(check int) "nothing discarded" 0 (Netsim.Node.discarded node);
+  Netsim.Node.detach node ~flow;
+  Netsim.Node.receive node (mk_pkt ~flow ~dst:5);
+  Alcotest.(check int) "detach reaches the adopted slot" 1
+    (Netsim.Node.discarded node)
+
 let suite =
   [
     Alcotest.test_case "local dispatch" `Quick test_local_dispatch;
@@ -120,6 +138,8 @@ let suite =
     Alcotest.test_case "detach on both paths" `Quick test_detach_both_paths;
     Alcotest.test_case "attach replaces handler" `Quick test_attach_replaces;
     Alcotest.test_case "reserve + bulk attach" `Quick test_reserve_bulk_attach;
+    Alcotest.test_case "reserve adopts sparse agents" `Quick
+      test_reserve_adopts_sparse_agent;
     Alcotest.test_case "unattached dense id discarded" `Quick
       test_unattached_dense_id_discarded;
     Alcotest.test_case "unknown flow discarded" `Quick

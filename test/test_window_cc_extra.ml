@@ -149,33 +149,21 @@ let test_two_flows_share_fairly () =
     (ratio > 0.5 && ratio < 2.0)
 
 let test_rto_min_floor_and_backoff_order () =
-  (* Regression pin for the RTO clamp: a low-RTT path (srtt + 4*rttvar
-     far below min_rto) must floor at min_rto, and exponential backoff
-     multiplies the *floored* value — clamping after backoff would leave
-     a backed-off timer stuck at 200 ms. *)
-  let sim, db = db_fixture () in
-  let tcp = spawn sim db in
-  let st = Cc.Window_cc.export_state tcp in
-  Cc.Window_cc.import_state tcp
-    {
-      st with
-      Cc.Window_cc.s_srtt = 0.001;
-      s_rttvar = 0.;
-      s_rtt_valid = true;
-      s_backoff = 1.;
-    };
-  Alcotest.(check (float 1e-12)) "floored at min_rto" 0.2
-    (Cc.Window_cc.rto tcp);
-  Cc.Window_cc.import_state tcp
-    {
-      st with
-      Cc.Window_cc.s_srtt = 0.001;
-      s_rttvar = 0.;
-      s_rtt_valid = true;
-      s_backoff = 4.;
-    };
+  (* Regression pin for the RTO clamp, on the one formula all four window
+     senders call: a low-RTT path (srtt + 4*rttvar far below min_rto)
+     must floor at min_rto, and exponential backoff multiplies the
+     *floored* value — clamping after backoff would leave a backed-off
+     timer stuck at 200 ms. *)
+  let cfg =
+    Cc.Window_cc.default_config (Cc.Window_cc.tcp_compatible_aimd ~b:0.5)
+  in
+  let rto backoff =
+    Cc.Rto.timeout ~min_rto:cfg.Cc.Window_cc.min_rto ~backoff ~rtt_valid:true
+      ~srtt:0.001 ~rttvar:0.
+  in
+  Alcotest.(check (float 1e-12)) "floored at min_rto" 0.2 (rto 1.);
   Alcotest.(check (float 1e-12)) "backoff scales the floored value" 0.8
-    (Cc.Window_cc.rto tcp)
+    (rto 4.)
 
 let test_karn_rule_on_first_loss () =
   (* Karn regression: the very first data packet is dropped, so its
