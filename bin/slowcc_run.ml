@@ -2,7 +2,7 @@
 
    slowcc_run list                 enumerate experiment ids
    slowcc_run run fig7 [--quick]   reproduce one figure
-   slowcc_run all [--quick]        reproduce everything
+   slowcc_run all [--quick]        reproduce everything (= run all)
    slowcc_run all --backend proc --workers 4 --cache-dir D
                                    same sweep over worker processes
    slowcc_run worker QUEUE_DIR     join an existing sweep as a worker
@@ -377,6 +377,60 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List experiment identifiers")
     Term.(const run $ const ())
 
+(* [run] and [all] share one body: [all] is the registry's id for every
+   unit, in figure order. *)
+let run_experiment verbose quick jobs sched ff out_dir emit cache_dir no_cache
+    backend workers lease_s poll_s name =
+  setup_logs verbose;
+  apply_sched sched;
+  apply_ff ff;
+  let cache = open_cache ~cache_dir ~no_cache in
+  let unknown () =
+    Format.eprintf "unknown experiment %s; try 'slowcc_run list'@." name;
+    1
+  in
+  let finish ~backend pool =
+    let stream = Slowcc.Table.print fmt in
+    let result =
+      match out_dir with
+      | None ->
+        Slowcc.Experiments.run_cached ~stream ~quick ~pool ?cache
+          ~now:Unix.gettimeofday name
+      | Some dir ->
+        Slowcc.Experiments.run_to_dir ~stream ~quick ~pool ?cache ?backend
+          ~emit ~now:Unix.gettimeofday ~dir ~jobs name
+        |> Option.map (fun (manifest_path, tables) ->
+               Format.eprintf "wrote %s@." manifest_path;
+               tables)
+    in
+    match result with
+    | Some _ ->
+      report_cache cache;
+      0
+    | None -> unknown ()
+  in
+  match (backend, cache) with
+  | Engine.Pool.Domains, _ ->
+    Engine.Pool.with_pool ~jobs (fun pool -> finish ~backend:None pool)
+  | Engine.Pool.Procs, None ->
+    Format.eprintf "--backend proc needs --cache-dir (the queue and the \
+                    results live there)@.";
+    2
+  | Engine.Pool.Procs, Some cache -> (
+    match Slowcc.Experiments.units name with
+    | [] -> unknown ()
+    | units ->
+      with_proc_backend ~quick ~jobs ~workers ~lease_s ~poll_s ~cache ~units
+        (fun () ->
+          Engine.Pool.with_pool ~jobs (fun pool ->
+              finish ~backend:(Some "proc") pool)))
+
+let experiment_term verbose experiment =
+  Term.(
+    const run_experiment $ verbose $ quick_arg $ jobs_arg $ sched_arg
+    $ ff_arg $ out_dir_arg $ emit_arg $ cache_dir_arg $ no_cache_arg
+    $ backend_arg $ workers_arg $ lease_arg $ poll_arg $ experiment)
+
 let run_cmd =
   let name_arg =
     Arg.(
@@ -384,101 +438,14 @@ let run_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"EXPERIMENT" ~doc:"Experiment id, e.g. fig7.")
   in
-  let run verbose quick jobs sched ff out_dir emit cache_dir no_cache backend
-      workers lease_s poll_s name =
-    setup_logs verbose;
-    apply_sched sched;
-    apply_ff ff;
-    let cache = open_cache ~cache_dir ~no_cache in
-    let finish ~backend pool =
-      let result =
-        match out_dir with
-        | None ->
-          Slowcc.Experiments.run_cached ~quick ~pool ?cache
-            ~now:Unix.gettimeofday name
-        | Some dir ->
-          Slowcc.Experiments.run_to_dir ~quick ~pool ?cache ?backend ~emit
-            ~now:Unix.gettimeofday ~dir ~jobs name
-          |> Option.map (fun (manifest_path, tables) ->
-                 Format.eprintf "wrote %s@." manifest_path;
-                 tables)
-      in
-      match result with
-      | Some tables ->
-        List.iter (Slowcc.Table.print fmt) tables;
-        report_cache cache;
-        0
-      | None ->
-        Format.eprintf "unknown experiment %s; try 'slowcc_run list'@." name;
-        1
-    in
-    match (backend, cache) with
-    | Engine.Pool.Domains, _ ->
-      Engine.Pool.with_pool ~jobs (fun pool -> finish ~backend:None pool)
-    | Engine.Pool.Procs, None ->
-      Format.eprintf "--backend proc needs --cache-dir (the queue and the \
-                      results live there)@.";
-      2
-    | Engine.Pool.Procs, Some cache ->
-      if not (List.mem name Slowcc.Experiments.names) then begin
-        Format.eprintf "unknown experiment %s; try 'slowcc_run list'@." name;
-        1
-      end
-      else
-        with_proc_backend ~quick ~jobs ~workers ~lease_s ~poll_s ~cache
-          ~units:[ name ] (fun () ->
-            Engine.Pool.with_pool ~jobs (fun pool ->
-                finish ~backend:(Some "proc") pool))
-  in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one experiment and print its table")
-    Term.(
-      const run $ verbose_arg $ quick_arg $ jobs_arg $ sched_arg $ ff_arg
-      $ out_dir_arg $ emit_arg $ cache_dir_arg $ no_cache_arg $ backend_arg
-      $ workers_arg $ lease_arg $ poll_arg $ name_arg)
+    (experiment_term verbose_arg name_arg)
 
 let all_cmd =
-  let run quick jobs sched ff out_dir emit cache_dir no_cache backend workers
-      lease_s poll_s =
-    apply_sched sched;
-    apply_ff ff;
-    let cache = open_cache ~cache_dir ~no_cache in
-    let finish ~backend pool =
-      (match out_dir with
-      | None ->
-        List.iter (Slowcc.Table.print fmt)
-          (Slowcc.Experiments.all ~quick ~pool ?cache ~now:Unix.gettimeofday
-             ())
-      | Some dir ->
-        let manifest_path, _tables =
-          Slowcc.Experiments.all_to_dir
-            ~stream:(Slowcc.Table.print fmt)
-            ~quick ~pool ?cache ?backend ~emit ~now:Unix.gettimeofday ~dir
-            ~jobs ()
-        in
-        Format.eprintf "wrote %s@." manifest_path);
-      report_cache cache;
-      0
-    in
-    match (backend, cache) with
-    | Engine.Pool.Domains, _ ->
-      Engine.Pool.with_pool ~jobs (fun pool -> finish ~backend:None pool)
-    | Engine.Pool.Procs, None ->
-      Format.eprintf "--backend proc needs --cache-dir (the queue and the \
-                      results live there)@.";
-      2
-    | Engine.Pool.Procs, Some cache ->
-      with_proc_backend ~quick ~jobs ~workers ~lease_s ~poll_s ~cache
-        ~units:Slowcc.Experiments.all_units (fun () ->
-          Engine.Pool.with_pool ~jobs (fun pool ->
-              finish ~backend:(Some "proc") pool))
-  in
   Cmd.v
     (Cmd.info "all" ~doc:"Run every experiment in figure order")
-    Term.(
-      const run $ quick_arg $ jobs_arg $ sched_arg $ ff_arg $ out_dir_arg
-      $ emit_arg $ cache_dir_arg $ no_cache_arg $ backend_arg $ workers_arg
-      $ lease_arg $ poll_arg)
+    (experiment_term (Term.const false) (Term.const "all"))
 
 (* [cache stats]/[cache clear] operate on the directory directly (no
    cache handle): they must work for caches written by other binaries. *)

@@ -51,6 +51,20 @@ let prun ?pool jobs =
 let pmap ?pool f xs =
   List.map snd (prun ?pool (List.mapi (fun i x -> (i, fun () -> f x)) xs))
 
+(* [grid ?pool xs ys f] runs [f x y] for every cell of the matrix as one
+   batch, submitted x-major, and returns the cell lookup.  The whole
+   matrix fans out at once instead of nesting a serial loop inside each
+   row.  Cells are found by structural equality on [(x, y)], so the axes
+   hold plain data (family names, parameters), never closures. *)
+let grid ?pool xs ys f =
+  let cells =
+    prun ?pool
+      (List.concat_map
+         (fun x -> List.map (fun y -> ((x, y), fun () -> f x y)) ys)
+         xs)
+  in
+  fun x y -> List.assoc (x, y) cells
+
 (* Scenario bandwidths.  The paper gives 15 Mbps for the 3:1 oscillation
    experiments; for the others we size the link so that steady-state
    per-flow windows land in the paper's regime (a few percent loss). *)
@@ -141,71 +155,39 @@ let fig3 ?(quick = false) ?pool () =
 (* Figures 4 and 5: stabilization time and cost vs gamma               *)
 (* ------------------------------------------------------------------ *)
 
-let stabilization_sweep ?(queue = Netsim.Dumbbell.Red) ?pool ~quick () =
-  let gammas = gamma_sweep quick in
-  (* One job per (family, gamma) cell — the full matrix fans out at once
-     instead of nesting a serial gamma loop inside each family. *)
-  let jobs =
-    List.concat_map
-      (fun (family, make) ->
-        List.map
-          (fun g ->
-            ( (family, g),
-              fun () ->
-                let r =
-                  Scenarios.cbr_restart ~queue ~protocol:(make g)
-                    ~bandwidth:bw_restart ()
-                in
-                r.Scenarios.stab ))
-          gammas)
-      restart_families
+(* The CBR-restart sweep over (family, gamma), rendered as a time table
+   and a cost table. *)
+let stab_tables ?(queue = Netsim.Dumbbell.Red) ?pool ~id_time ~id_cost
+    ~title_suffix gammas =
+  let families = List.map fst restart_families in
+  let stab =
+    grid ?pool families gammas (fun family g ->
+        let r =
+          Scenarios.cbr_restart ~queue
+            ~protocol:(List.assoc family restart_families g)
+            ~bandwidth:bw_restart ()
+        in
+        r.Scenarios.stab)
   in
-  let cells = prun ?pool jobs in
-  List.map
-    (fun (family, _) ->
-      ( family,
-        List.filter_map
-          (fun ((family', g), stab) ->
-            if String.equal family family' then Some (g, stab) else None)
-          cells ))
-    restart_families
-
-let stab_tables ~id_time ~id_cost ~title_suffix sweep gammas =
-  let col_names = "gamma" :: List.map fst sweep in
-  let time_rows =
-    List.map
-      (fun g ->
-        fnum g
-        :: List.map
-             (fun (_, cells) ->
-               match List.assoc g (List.map (fun (g', s) -> (g', s)) cells) with
-               | Some (s : Metrics.stabilization) -> fnum s.Metrics.time_rtts
-               | None -> "-")
-             sweep)
-      gammas
+  let table id title metric =
+    Table.make ~id ~title:(title ^ title_suffix) ~columns:("gamma" :: families)
+      (List.map
+         (fun g ->
+           fnum g
+           :: List.map
+                (fun family ->
+                  match stab family g with
+                  | Some (s : Metrics.stabilization) -> fnum (metric s)
+                  | None -> "-")
+                families)
+         gammas)
   in
-  let cost_rows =
-    List.map
-      (fun g ->
-        fnum g
-        :: List.map
-             (fun (_, cells) ->
-               match List.assoc g cells with
-               | Some (s : Metrics.stabilization) -> fnum s.Metrics.cost
-               | None -> "-")
-             sweep)
-      gammas
-  in
-  ( Table.make ~id:id_time
-      ~title:("Stabilization time in RTTs vs gamma" ^ title_suffix)
-      ~columns:col_names time_rows,
-    Table.make ~id:id_cost
-      ~title:("Stabilization cost vs gamma" ^ title_suffix)
-      ~columns:col_names cost_rows )
+  ( table id_time "Stabilization time in RTTs vs gamma" (fun s ->
+        s.Metrics.time_rtts),
+    table id_cost "Stabilization cost vs gamma" (fun s -> s.Metrics.cost) )
 
 let fig4_fig5 ?(quick = false) ?pool () =
-  let sweep = stabilization_sweep ?pool ~quick () in
-  stab_tables ~id_time:"fig4" ~id_cost:"fig5" ~title_suffix:" (RED)" sweep
+  stab_tables ?pool ~id_time:"fig4" ~id_cost:"fig5" ~title_suffix:" (RED)"
     (gamma_sweep quick)
 
 (* ------------------------------------------------------------------ *)
@@ -390,22 +372,14 @@ let fig13 ?(quick = false) ?pool () =
       ("TFRC(b)", fun g -> Protocol.tfrc ~k:(int_of_float g) ());
     ]
   in
-  (* Flatten the params x families matrix into one job list. *)
-  let cells =
-    prun ?pool
-      (List.concat_map
-         (fun g ->
-           List.map
-             (fun (fam, make) ->
-               ( (g, fam),
-                 fun () ->
-                   let r =
-                     Scenarios.bandwidth_double ~t_stop ~protocol:(make g)
-                       ~bandwidth:bw_double ()
-                   in
-                   (r.Scenarios.f20, r.Scenarios.f200) ))
-             families)
-         params)
+  let f =
+    grid ?pool params (List.map fst families) (fun g fam ->
+        let r =
+          Scenarios.bandwidth_double ~t_stop
+            ~protocol:(List.assoc fam families g)
+            ~bandwidth:bw_double ()
+        in
+        (r.Scenarios.f20, r.Scenarios.f200))
   in
   let rows =
     List.map
@@ -413,7 +387,7 @@ let fig13 ?(quick = false) ?pool () =
         fnum g
         :: List.concat_map
              (fun (fam, _) ->
-               let f20, f200 = List.assoc (g, fam) cells in
+               let f20, f200 = f g fam in
                [ fnum f20; fnum f200 ])
              families)
       params
@@ -432,7 +406,11 @@ let fig13 ?(quick = false) ?pool () =
 let onoff_times_full = [ 0.05; 0.1; 0.2; 0.5; 1.; 2.; 5. ]
 let onoff_times_quick = [ 0.05; 0.2; 1. ]
 
-let homogeneous_wave ?pool ~quick ~bandwidth ~cbr_fraction () =
+(* Ten identical flows under the square wave, one run per (on/off time,
+   protocol) cell, rendered as a utilization table and a drop-rate
+   table. *)
+let wave_util_tables ?pool ~quick ~bandwidth ~cbr_fraction ~id_util ~id_drop
+    ~title () =
   let onoffs = if quick then onoff_times_quick else onoff_times_full in
   let protocols =
     [
@@ -441,80 +419,35 @@ let homogeneous_wave ?pool ~quick ~bandwidth ~cbr_fraction () =
       ("TFRC(6)", Protocol.tfrc ~k:6 ());
     ]
   in
-  (* One job per (on/off time, protocol) cell. *)
-  let cells =
-    prun ?pool
-      (List.concat_map
+  let protos = List.map fst protocols in
+  let result =
+    grid ?pool onoffs protos (fun onoff name ->
+        Scenarios.square_wave
+          ~measure:(if quick then 60. else 120.)
+          ~flows:[ (List.assoc name protocols, 10) ]
+          ~bandwidth ~cbr_fraction ~period:(2. *. onoff) ())
+  in
+  let table id what cell =
+    Table.make ~id ~title:(title ^ ": " ^ what)
+      ~columns:("on/off(s)" :: protos)
+      (List.map
          (fun onoff ->
-           List.map
-             (fun (name, p) ->
-               ( (onoff, name),
-                 fun () ->
-                   Scenarios.square_wave
-                     ~measure:(if quick then 60. else 120.)
-                     ~flows:[ (p, 10) ] ~bandwidth ~cbr_fraction
-                     ~period:(2. *. onoff) () ))
-             protocols)
+           fnum onoff :: List.map (fun name -> cell (result onoff name)) protos)
          onoffs)
   in
-  List.map
-    (fun onoff ->
-      ( onoff,
-        List.map
-          (fun (name, _) -> (name, List.assoc (onoff, name) cells))
-          protocols ))
-    onoffs
-
-let wave_util_tables ~id_util ~id_drop ~title results =
-  let proto_names =
-    match results with
-    | (_, first) :: _ -> List.map fst first
-    | [] -> []
-  in
-  let util_rows =
-    List.map
-      (fun (onoff, cells) ->
-        fnum onoff
-        :: List.map
-             (fun (_, (r : Scenarios.square_wave_result)) ->
-               fnum r.Scenarios.utilization)
-             cells)
-      results
-  in
-  let drop_rows =
-    List.map
-      (fun (onoff, cells) ->
-        fnum onoff
-        :: List.map
-             (fun (_, (r : Scenarios.square_wave_result)) ->
-               fpct r.Scenarios.drop_rate)
-             cells)
-      results
-  in
-  ( Table.make ~id:id_util ~title:(title ^ ": link utilization")
-      ~columns:("on/off(s)" :: proto_names)
-      util_rows,
-    Table.make ~id:id_drop ~title:(title ^ ": packet drop rate")
-      ~columns:("on/off(s)" :: proto_names)
-      drop_rows )
+  ( table id_util "link utilization" (fun r -> fnum r.Scenarios.utilization),
+    table id_drop "packet drop rate" (fun r -> fpct r.Scenarios.drop_rate) )
 
 let fig14_fig15 ?(quick = false) ?pool () =
-  let results =
-    homogeneous_wave ?pool ~quick ~bandwidth:bw_wave_31
-      ~cbr_fraction:(2. /. 3.) ()
-  in
-  wave_util_tables ~id_util:"fig14" ~id_drop:"fig15"
-    ~title:"3:1 oscillating bandwidth, 10 identical flows" results
+  wave_util_tables ?pool ~quick ~bandwidth:bw_wave_31 ~cbr_fraction:(2. /. 3.)
+    ~id_util:"fig14" ~id_drop:"fig15"
+    ~title:"3:1 oscillating bandwidth, 10 identical flows" ()
 
 let fig16 ?(quick = false) ?pool () =
-  let results =
-    homogeneous_wave ?pool ~quick ~bandwidth:bw_wave_101 ~cbr_fraction:0.9 ()
-  in
-  let util, _ =
-    wave_util_tables ~id_util:"fig16" ~id_drop:"fig16-drop"
-      ~title:"10:1 oscillating bandwidth, 10 identical flows" results
-  in
-  util
+  fst
+    (wave_util_tables ?pool ~quick ~bandwidth:bw_wave_101 ~cbr_fraction:0.9
+       ~id_util:"fig16" ~id_drop:"fig16-drop"
+       ~title:"10:1 oscillating bandwidth, 10 identical flows" ())
 
 (* ------------------------------------------------------------------ *)
 (* Figures 17-19: designed bursty loss patterns                        *)
@@ -698,34 +631,26 @@ let ablation_response_sim ?(quick = false) ?pool () =
       ]
     rows
 
+(* Self-clocking on/off across gamma for TFRC: isolates the effect the
+   paper attributes to packet conservation. *)
 let ablation_self_clocking ?(quick = false) ?pool () =
   let gammas = if quick then [ 8.; 256. ] else [ 8.; 32.; 64.; 256. ] in
-  (* One job per (gamma, conservative) run. *)
-  let cells =
-    prun ?pool
-      (List.concat_map
-         (fun g ->
-           List.map
-             (fun conservative ->
-               ( (g, conservative),
-                 fun () ->
-                   let r =
-                     Scenarios.cbr_restart
-                       ~protocol:
-                         (Protocol.tfrc ~conservative ~k:(int_of_float g) ())
-                       ~bandwidth:bw_restart ()
-                   in
-                   match r.Scenarios.stab with
-                   | Some s -> (s.Metrics.time_rtts, s.Metrics.cost)
-                   | None -> (0., 0.) ))
-             [ false; true ])
-         gammas)
+  let stab =
+    grid ?pool gammas [ false; true ] (fun g conservative ->
+        let r =
+          Scenarios.cbr_restart
+            ~protocol:(Protocol.tfrc ~conservative ~k:(int_of_float g) ())
+            ~bandwidth:bw_restart ()
+        in
+        match r.Scenarios.stab with
+        | Some s -> (s.Metrics.time_rtts, s.Metrics.cost)
+        | None -> (0., 0.))
   in
   let rows =
     List.map
       (fun g ->
-        let t_off, c_off = List.assoc (g, false) cells in
-        let t_on, c_on = List.assoc (g, true) cells in
+        let t_off, c_off = stab g false in
+        let t_on, c_on = stab g true in
         [ fnum g; fnum t_off; fnum c_off; fnum t_on; fnum c_on ])
       gammas
   in
@@ -734,6 +659,7 @@ let ablation_self_clocking ?(quick = false) ?pool () =
     ~columns:[ "g"; "time(RTT) off"; "cost off"; "time(RTT) on"; "cost on" ]
     rows
 
+(* Sweep of the conservative option's C constant. *)
 let ablation_conservative_c ?(quick = false) ?pool () =
   let cs = if quick then [ 1.1; 2.0 ] else [ 1.0; 1.1; 1.5; 2.0; 4.0 ] in
   let rows =
@@ -796,15 +722,12 @@ let ablation_sawtooth ?(quick = false) ?pool () =
     ~columns:[ "period(s)"; "shape"; "TCP"; "TFRC(6)"; "TCP/TFRC" ]
     rows
 
-let ablation_droptail ?(quick = false) ?pool () =
-  let sweep =
-    stabilization_sweep ~queue:Netsim.Dumbbell.Droptail ?pool ~quick:true ()
-  in
-  ignore quick;
-  let _, cost = stab_tables ~id_time:"x" ~id_cost:"ablation-droptail"
-      ~title_suffix:" (droptail)" sweep gammas_quick
-  in
-  cost
+(* Droptail instead of RED for the Figure 4/5 scenario (the paper notes
+   the self-clocking benefit holds under droptail too). *)
+let ablation_droptail ?quick:_ ?pool () =
+  snd
+    (stab_tables ~queue:Netsim.Dumbbell.Droptail ?pool ~id_time:"x"
+       ~id_cost:"ablation-droptail" ~title_suffix:" (droptail)" gammas_quick)
 
 (* RTT unfairness (extension): the paper's introduction notes TCP does not
    equalize flows with different round-trip times.  Measure the throughput
@@ -925,28 +848,16 @@ let ablation_10to1_fairness ?(quick = false) ?pool () =
     let m_tfrc = r.Scenarios.group_mean (Protocol.name tfrc) in
     m_tcp /. Float.max 0.01 m_tfrc
   in
-  (* One job per (period, oscillation depth) run. *)
-  let cells =
-    prun ?pool
-      (List.concat_map
-         (fun period ->
-           [
-             ( (period, `R31),
-               fun () ->
-                 run ~bandwidth:bw_wave_31 ~cbr_fraction:(2. /. 3.) period );
-             ( (period, `R101),
-               fun () -> run ~bandwidth:bw_wave_101 ~cbr_fraction:0.9 period );
-           ])
-         periods)
+  (* Oscillation depths 3:1 and 10:1, as (bandwidth, CBR fraction). *)
+  let depths = [ (bw_wave_31, 2. /. 3.); (bw_wave_101, 0.9) ] in
+  let ratio =
+    grid ?pool periods depths (fun period (bandwidth, cbr_fraction) ->
+        run ~bandwidth ~cbr_fraction period)
   in
   let rows =
     List.map
       (fun period ->
-        [
-          fnum period;
-          fnum (List.assoc (period, `R31) cells);
-          fnum (List.assoc (period, `R101) cells);
-        ])
+        fnum period :: List.map (fun d -> fnum (ratio period d)) depths)
       periods
   in
   Table.make ~id:"ablation-10to1-fairness"
@@ -1083,76 +994,57 @@ let zoo_gauntlet ?(quick = false) ?pool () =
   let wave_measure = if quick then 30. else 60. in
   let flash_duration = if quick then 45. else 60. in
   let pattern_duration = if quick then 40. else 60. in
-  let jobs =
-    List.concat_map
-      (fun (fname, p) ->
-        [
-          ( (fname, "restart"),
-            fun () ->
-              let r =
-                Scenarios.cbr_restart ~n_flows:5 ~duration:restart_duration
-                  ~protocol:p ~bandwidth:bw_zoo ()
-              in
-              [
-                r.Scenarios.steady_loss;
-                (match r.Scenarios.stab with
-                | Some s -> s.Metrics.time_rtts
-                | None -> Float.nan);
-              ] );
-          ( (fname, "wave"),
-            fun () ->
-              let r =
-                Scenarios.square_wave ~measure:wave_measure ~flows:[ (p, 4) ]
-                  ~bandwidth:bw_zoo ~cbr_fraction:(2. /. 3.) ~period:4. ()
-              in
-              [ r.Scenarios.utilization; r.Scenarios.drop_rate ] );
-          ( (fname, "flash"),
-            fun () ->
-              let r =
-                Scenarios.flash_crowd ~duration:flash_duration ~protocol:p
-                  ~bandwidth:bw_flash ()
-              in
-              [
-                (if r.Scenarios.crowd_started = 0 then Float.nan
-                 else
-                   float_of_int r.Scenarios.crowd_completed
-                   /. float_of_int r.Scenarios.crowd_started);
-                r.Scenarios.mean_completion;
-              ] );
-          ( (fname, "pattern"),
-            fun () ->
-              let r =
-                Scenarios.loss_pattern ~duration:pattern_duration ~protocol:p
-                  ~pattern:mild_pattern ~bandwidth:bw_pattern ()
-              in
-              [
-                r.Scenarios.avg_throughput *. 8. /. 1e6;
-                r.Scenarios.smoothness;
-              ] );
-        ])
-      zoo_families
-  in
-  let results = prun ?pool jobs in
-  let metric fname scen i =
-    match List.assoc_opt (fname, scen) results with
-    | Some vs -> List.nth vs i
-    | None -> Float.nan
+  (* Each scenario yields two metrics. *)
+  let metrics =
+    grid ?pool (List.map fst zoo_families)
+      [ `Restart; `Wave; `Flash; `Pattern ]
+      (fun fname scenario ->
+        let p = List.assoc fname zoo_families in
+        match scenario with
+        | `Restart ->
+          let r =
+            Scenarios.cbr_restart ~n_flows:5 ~duration:restart_duration
+              ~protocol:p ~bandwidth:bw_zoo ()
+          in
+          ( r.Scenarios.steady_loss,
+            match r.Scenarios.stab with
+            | Some s -> s.Metrics.time_rtts
+            | None -> Float.nan )
+        | `Wave ->
+          let r =
+            Scenarios.square_wave ~measure:wave_measure ~flows:[ (p, 4) ]
+              ~bandwidth:bw_zoo ~cbr_fraction:(2. /. 3.) ~period:4. ()
+          in
+          (r.Scenarios.utilization, r.Scenarios.drop_rate)
+        | `Flash ->
+          let r =
+            Scenarios.flash_crowd ~duration:flash_duration ~protocol:p
+              ~bandwidth:bw_flash ()
+          in
+          ( (if r.Scenarios.crowd_started = 0 then Float.nan
+             else
+               float_of_int r.Scenarios.crowd_completed
+               /. float_of_int r.Scenarios.crowd_started),
+            r.Scenarios.mean_completion )
+        | `Pattern ->
+          let r =
+            Scenarios.loss_pattern ~duration:pattern_duration ~protocol:p
+              ~pattern:mild_pattern ~bandwidth:bw_pattern ()
+          in
+          (r.Scenarios.avg_throughput *. 8. /. 1e6, r.Scenarios.smoothness))
   in
   let cell v = if Float.is_nan v then "-" else fnum v in
   let pcell v = if Float.is_nan v then "-" else fpct v in
   let rows =
     List.map
       (fun (fname, _) ->
+        let restart_loss, stab = metrics fname `Restart in
+        let util, drops = metrics fname `Wave in
+        let crowd_done, crowd_mean = metrics fname `Flash in
+        let mbps, smoothness = metrics fname `Pattern in
         [
-          fname;
-          pcell (metric fname "restart" 0);
-          cell (metric fname "restart" 1);
-          pcell (metric fname "wave" 0);
-          pcell (metric fname "wave" 1);
-          pcell (metric fname "flash" 0);
-          cell (metric fname "flash" 1);
-          cell (metric fname "pattern" 0);
-          cell (metric fname "pattern" 1);
+          fname; pcell restart_loss; cell stab; pcell util; pcell drops;
+          pcell crowd_done; cell crowd_mean; cell mbps; cell smoothness;
         ])
       zoo_families
   in
@@ -1168,125 +1060,153 @@ let zoo_gauntlet ?(quick = false) ?pool () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* Driver                                                              *)
+(* Registry                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let names =
+(* One record per unit of computation.  [also] lists the further ids the
+   unit's sweep answers: their tables come out of the same run, so they
+   share the unit's cache entry, timing label and work-queue job.
+   [params] is the scenario parameter record written to manifests; only
+   the knobs that shape the experiment are listed, everything else is a
+   fixed constant of the scenario code, already pinned by the table
+   digests. *)
+type experiment = {
+  id : string;
+  also : string list;
+  params : quick:bool -> (string * Engine.Json.t) list;
+  run : quick:bool -> pool:Engine.Pool.t option -> Table.t list;
+}
+
+let single id params
+    (f : ?quick:bool -> ?pool:Engine.Pool.t -> unit -> Table.t) =
+  { id; also = []; params; run = (fun ~quick ~pool -> [ f ~quick ?pool () ]) }
+
+let pair ?(also = []) id params
+    (f : ?quick:bool -> ?pool:Engine.Pool.t -> unit -> Table.t * Table.t) =
+  let run ~quick ~pool =
+    let a, b = f ~quick ?pool () in
+    [ a; b ]
+  in
+  { id; also; params; run }
+
+let bw v = ("bandwidth_bps", Engine.Json.Float v)
+let floats xs = Engine.Json.List (List.map (fun v -> Engine.Json.Float v) xs)
+let bw_only v ~quick:_ = [ bw v ]
+
+let wave_params v cbr_fraction ~quick:_ =
+  [ bw v; ("cbr_fraction", Engine.Json.Float cbr_fraction) ]
+
+let analytic ~quick:_ = [ ("analytic", Engine.Json.Bool true) ]
+let no_params ~quick:_ = []
+
+(* Built on demand, never held at module level: every benchmark process
+   initializes this module, so a top-level list of records would sit in
+   every workload's live heap. *)
+let registry () =
+  let open Engine.Json in
   [
-    "fig3"; "fig4"; "fig5"; "fig6"; "fig7"; "fig8"; "fig9"; "fig10"; "fig11";
-    "fig12"; "fig13"; "fig14"; "fig15"; "fig16"; "fig17"; "fig18"; "fig19";
-    "fig20"; "table-transient"; "ablation-self-clocking";
-    "ablation-conservative-c"; "ablation-droptail"; "ablation-sawtooth";
-    "ablation-response-sim"; "ablation-rtt-fairness"; "ablation-binomial-l";
-    "ablation-queue-dynamics"; "ablation-10to1-fairness"; "manyflow";
-    "zoo-gauntlet";
+    single "fig3" (bw_only bw_restart) fig3;
+    pair "fig4" ~also:[ "fig5" ]
+      (fun ~quick -> [ bw bw_restart; ("gammas", floats (gamma_sweep quick)) ])
+      fig4_fig5;
+    single "fig6" (bw_only bw_flash) fig6;
+    single "fig7" (wave_params bw_wave_31 (2. /. 3.)) fig7;
+    single "fig8" (wave_params bw_wave_31 (2. /. 3.)) fig8;
+    single "fig9" (wave_params bw_wave_31 (2. /. 3.)) fig9;
+    single "fig10" (bw_only bw_fair) fig10;
+    single "fig11" analytic fig11;
+    single "fig12" (bw_only bw_fair) fig12;
+    single "fig13" (bw_only bw_double) fig13;
+    pair "fig14" ~also:[ "fig15" ] (bw_only bw_wave_31) fig14_fig15;
+    single "fig16" (wave_params bw_wave_101 0.9) fig16;
+    single "fig17" (bw_only bw_pattern) fig17;
+    single "fig18" (bw_only bw_pattern) fig18;
+    single "fig19" (bw_only bw_pattern) fig19;
+    single "fig20" analytic fig20;
+    single "table-transient" no_params Transient.table;
+    single "ablation-self-clocking" (bw_only bw_restart) ablation_self_clocking;
+    single "ablation-conservative-c" (bw_only bw_restart)
+      ablation_conservative_c;
+    single "ablation-droptail"
+      (fun ~quick:_ ->
+        [ ("queue", String "droptail"); ("gammas", floats gammas_quick) ])
+      ablation_droptail;
+    single "ablation-sawtooth" (wave_params bw_wave_31 (2. /. 3.))
+      ablation_sawtooth;
+    single "ablation-response-sim" no_params ablation_response_sim;
+    single "ablation-rtt-fairness" no_params ablation_rtt_fairness;
+    single "ablation-binomial-l" no_params ablation_binomial_l;
+    single "ablation-queue-dynamics" no_params ablation_queue_dynamics;
+    single "ablation-10to1-fairness"
+      (fun ~quick:_ ->
+        [ ("bandwidths_bps", floats [ bw_wave_31; bw_wave_101 ]) ])
+      ablation_10to1_fairness;
+    pair "manyflow"
+      (fun ~quick ->
+        [
+          ( "flows",
+            List
+              (List.map (fun n -> Float (float_of_int n)) (Manyflow.ns ~quick))
+          );
+          ("per_flow_bw_bps", Float 16000.);
+          ("engine", String "soa");
+        ])
+      manyflow_tables;
+    single "zoo-gauntlet"
+      (fun ~quick:_ ->
+        [
+          bw bw_zoo;
+          ("families", List (List.map (fun (n, _) -> String n) zoo_families));
+        ])
+      zoo_gauntlet;
   ]
 
-let run_by_name ?(quick = false) ?pool name =
-  match name with
-  | "fig3" -> Some [ fig3 ~quick ?pool () ]
-  | "fig4" | "fig5" ->
-    let t4, t5 = fig4_fig5 ~quick ?pool () in
-    Some [ t4; t5 ]
-  | "fig6" -> Some [ fig6 ~quick ?pool () ]
-  | "fig7" -> Some [ fig7 ~quick ?pool () ]
-  | "fig8" -> Some [ fig8 ~quick ?pool () ]
-  | "fig9" -> Some [ fig9 ~quick ?pool () ]
-  | "fig10" -> Some [ fig10 ~quick ?pool () ]
-  | "fig11" -> Some [ fig11 ~quick ?pool () ]
-  | "fig12" -> Some [ fig12 ~quick ?pool () ]
-  | "fig13" -> Some [ fig13 ~quick ?pool () ]
-  | "fig14" | "fig15" ->
-    let t14, t15 = fig14_fig15 ~quick ?pool () in
-    Some [ t14; t15 ]
-  | "fig16" -> Some [ fig16 ~quick ?pool () ]
-  | "fig17" -> Some [ fig17 ~quick ?pool () ]
-  | "fig18" -> Some [ fig18 ~quick ?pool () ]
-  | "fig19" -> Some [ fig19 ~quick ?pool () ]
-  | "fig20" -> Some [ fig20 ~quick ?pool () ]
-  | "table-transient" -> Some [ Transient.table ~quick ?pool () ]
-  | "ablation-self-clocking" -> Some [ ablation_self_clocking ~quick ?pool () ]
-  | "ablation-conservative-c" -> Some [ ablation_conservative_c ~quick ?pool () ]
-  | "ablation-droptail" -> Some [ ablation_droptail ~quick ?pool () ]
-  | "ablation-sawtooth" -> Some [ ablation_sawtooth ~quick ?pool () ]
-  | "ablation-response-sim" -> Some [ ablation_response_sim ~quick ?pool () ]
-  | "ablation-rtt-fairness" -> Some [ ablation_rtt_fairness ~quick ?pool () ]
-  | "ablation-binomial-l" -> Some [ ablation_binomial_l ~quick ?pool () ]
-  | "ablation-queue-dynamics" -> Some [ ablation_queue_dynamics ~quick ?pool () ]
-  | "ablation-10to1-fairness" -> Some [ ablation_10to1_fairness ~quick ?pool () ]
-  | "manyflow" ->
-    let stats, hist = manyflow_tables ~quick ?pool () in
-    Some [ stats; hist ]
-  | "zoo-gauntlet" -> Some [ zoo_gauntlet ~quick ?pool () ]
-  | _ -> None
+let ids e = e.id :: e.also
+let names = List.concat_map ids (registry ())
+let all_units = List.map (fun e -> e.id) (registry ())
+
+(* The id that runs every unit, in registry order. *)
+let all_id = "all"
+
+(* The unit whose sweep answers [name]. *)
+let lookup name = List.find_opt (fun e -> List.mem name (ids e)) (registry ())
+
+(* The units [name] runs, or [None] for an unknown id. *)
+let units_of name =
+  if String.equal name all_id then Some (registry ())
+  else Option.map (fun e -> [ e ]) (lookup name)
+
+let units name =
+  Option.fold ~none:[] ~some:(List.map (fun e -> e.id)) (units_of name)
 
 (* ------------------------------------------------------------------ *)
 (* Manifested and cached runs                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Scenario parameters recorded in run manifests.  Only the knobs that
-   shape the named experiment are listed — everything else is a fixed
-   constant of the scenario code, already pinned by the table digests. *)
-let params_one ?(quick = false) name =
-  let open Engine.Json in
-  let floats xs = List (List.map (fun v -> Float v) xs) in
-  let bw v = ("bandwidth_bps", Float v) in
-  (* Hybrid fast-forward produces approximate (fluid-advanced) results,
-     so the mode is part of what was computed: it joins the digested
-     params — and through them the cache key — whenever it is ON.  It is
-     deliberately ABSENT when off, keeping ff-off manifests and cache
-     entries byte-identical with builds that predate the feature. *)
-  let with_ff base =
-    match Engine.Fastforward.get_default () with
-    | Engine.Fastforward.Off -> base
-    | Engine.Fastforward.On -> base @ [ ("fastforward", String "on") ]
-  in
-  with_ff
-  @@
-  match name with
-  | "fig3" -> [ bw bw_restart ]
-  | "fig4" | "fig5" -> [ bw bw_restart; ("gammas", floats (gamma_sweep quick)) ]
-  | "fig6" -> [ bw bw_flash ]
-  | "fig7" | "fig8" | "fig9" ->
-    [ bw bw_wave_31; ("cbr_fraction", Float (2. /. 3.)) ]
-  | "fig10" | "fig12" -> [ bw bw_fair ]
-  | "fig11" | "fig20" -> [ ("analytic", Bool true) ]
-  | "fig13" -> [ bw bw_double ]
-  | "fig14" | "fig15" -> [ bw bw_wave_31 ]
-  | "fig16" -> [ bw bw_wave_101; ("cbr_fraction", Float 0.9) ]
-  | "fig17" | "fig18" | "fig19" -> [ bw bw_pattern ]
-  | "ablation-self-clocking" | "ablation-conservative-c" -> [ bw bw_restart ]
-  | "ablation-droptail" ->
-    [ ("queue", String "droptail"); ("gammas", floats gammas_quick) ]
-  | "ablation-sawtooth" ->
-    [ bw bw_wave_31; ("cbr_fraction", Float (2. /. 3.)) ]
-  | "ablation-10to1-fairness" ->
-    [ ("bandwidths_bps", floats [ bw_wave_31; bw_wave_101 ]) ]
-  | "manyflow" ->
-    [
-      ( "flows",
-        List
-          (List.map (fun n -> Float (float_of_int n)) (Manyflow.ns ~quick)) );
-      ("per_flow_bw_bps", Float 16000.);
-      ("engine", String "soa");
-    ]
-  | "zoo-gauntlet" ->
-    [
-      bw bw_zoo;
-      ( "families",
-        List (List.map (fun (n, _) -> String n) zoo_families) );
-    ]
-  | _ -> []
+(* Hybrid fast-forward produces approximate (fluid-advanced) results, so
+   the mode is part of what was computed: it joins the digested params —
+   and through them the cache key — whenever it is ON.  It is
+   deliberately ABSENT when off, keeping ff-off manifests and cache
+   entries byte-identical with builds that predate the feature. *)
+let with_ff base =
+  match Engine.Fastforward.get_default () with
+  | Engine.Fastforward.Off -> base
+  | Engine.Fastforward.On -> base @ [ ("fastforward", Engine.Json.String "on") ]
 
-(* The combined run embeds every experiment's parameter record, so an
+let unit_params ~quick e = with_ff (e.params ~quick)
+
+(* The combined id embeds one parameter object per experiment id, so an
    "all" manifest carries the same provenance (and the cache the same key
    material) as the per-experiment manifests put together. *)
 let params ?(quick = false) name =
-  if String.equal name "all" then
-    List.map
-      (fun n -> (n, Engine.Json.Obj (params_one ~quick n)))
-      names
-  else params_one ~quick name
+  if String.equal name all_id then
+    List.concat_map
+      (fun e ->
+        let p = Engine.Json.Obj (unit_params ~quick e) in
+        List.map (fun id -> (id, p)) (ids e))
+      (registry ())
+  else
+    with_ff (match lookup name with Some e -> e.params ~quick | None -> [])
 
 let scope_label ~quick name = if quick then name ^ ":quick" else name
 
@@ -1296,45 +1216,36 @@ let scope_label ~quick name = if quick then name ^ ":quick" else name
 let unit_cost ~cache ~quick name =
   Result_cache.timing_sum cache ~label:(scope_label ~quick name)
 
-let run_cached ?(quick = false) ?pool ?cache ?now name =
-  if not (List.mem name names) then None
-  else
-    match cache with
-    | None -> run_by_name ~quick ?pool name
-    | Some cache -> (
-      let key =
-        Result_cache.key cache ~experiment:name ~quick
-          ~params:(params ~quick name)
+(* One unit through [cache].  The key, the stored experiment and the
+   timing label are the unit's id, whichever of its ids was asked for. *)
+let run_unit ~quick ?pool ?cache ?now e =
+  match cache with
+  | None -> e.run ~quick ~pool
+  | Some cache -> (
+    let key =
+      Result_cache.key cache ~experiment:e.id ~quick
+        ~params:(unit_params ~quick e)
+    in
+    match Result_cache.lookup cache ~key with
+    | Some tables -> tables
+    | None ->
+      let scope =
+        Result_cache.scope ?now cache ~label:(scope_label ~quick e.id)
       in
-      match Result_cache.lookup cache ~key with
-      | Some tables -> Some tables
-      | None ->
-        let scope =
-          Result_cache.scope ?now cache ~label:(scope_label ~quick name)
-        in
-        let tables = with_scope scope (fun () -> run_by_name ~quick ?pool name) in
-        Option.iter
-          (fun tables ->
-            Result_cache.store cache ~key ~experiment:name ~quick tables;
-            Result_cache.save_timings cache)
-          tables;
-        tables)
+      let tables = with_scope scope (fun () -> e.run ~quick ~pool) in
+      Result_cache.store cache ~key ~experiment:e.id ~quick tables;
+      Result_cache.save_timings cache;
+      tables)
 
-(* Units of computation for [all]: one entry per independently computed
-   table group.  The figure pairs 4+5 and 14+15 come out of a single
-   sweep, so only the first id of each pair appears (running it yields
-   both tables — and both land in one cache entry). *)
-let all_units = List.filter (fun n -> n <> "fig5" && n <> "fig15") names
+let run_cached ?stream ?(quick = false) ?pool ?cache ?now name =
+  Option.map
+    (List.concat_map (fun e ->
+         let tables = run_unit ~quick ?pool ?cache ?now e in
+         Option.iter (fun f -> List.iter f tables) stream;
+         tables))
+    (units_of name)
 
-let all ?emit ?(quick = false) ?pool ?cache ?now () =
-  List.concat_map
-    (fun name ->
-      match run_cached ~quick ?pool ?cache ?now name with
-      | Some tables ->
-        (match emit with Some f -> List.iter f tables | None -> ());
-        tables
-      | None -> [])
-    all_units
+let run_by_name ?quick ?pool name = run_cached ?quick ?pool name
 
 let cache_delta cache f =
   let before =
@@ -1355,32 +1266,19 @@ let cache_delta cache f =
 (* [now] supplies the wall clock for the manifest's (non-digested) timing
    section; it defaults to [Sys.time] so the core library stays free of a
    unix dependency — the CLI passes a real wall clock. *)
-let run_to_dir ?(quick = false) ?pool ?cache ?backend ?(emit = Manifest.Both)
-    ?(now = Sys.time) ~dir ~jobs name =
+let run_to_dir ?stream ?(quick = false) ?pool ?cache ?backend
+    ?(emit = Manifest.Both) ?(now = Sys.time) ~dir ~jobs name =
   let t0 = now () in
   let result, cache_info =
-    cache_delta cache (fun () -> run_cached ~quick ?pool ?cache ~now name)
-  in
-  match result with
-  | None -> None
-  | Some tables ->
-    let wall_s = now () -. t0 in
-    let manifest_path =
-      Manifest.write ?cache:cache_info ?backend ~dir ~experiment:name ~quick
-        ~params:(params ~quick name) ~emit ~jobs ~wall_s tables
-    in
-    Some (manifest_path, tables)
-
-let all_to_dir ?stream ?(quick = false) ?pool ?cache ?backend
-    ?(emit = Manifest.Both) ?(now = Sys.time) ~dir ~jobs () =
-  let t0 = now () in
-  let tables, cache_info =
     cache_delta cache (fun () ->
-        all ?emit:stream ~quick ?pool ?cache ~now ())
+        run_cached ?stream ~quick ?pool ?cache ~now name)
   in
-  let wall_s = now () -. t0 in
-  let manifest_path =
-    Manifest.write ?cache:cache_info ?backend ~dir ~experiment:"all" ~quick
-      ~params:(params ~quick "all") ~emit ~jobs ~wall_s tables
-  in
-  (manifest_path, tables)
+  Option.map
+    (fun tables ->
+      let wall_s = now () -. t0 in
+      let manifest_path =
+        Manifest.write ?cache:cache_info ?backend ~dir ~experiment:name ~quick
+          ~params:(params ~quick name) ~emit ~jobs ~wall_s tables
+      in
+      (manifest_path, tables))
+    result

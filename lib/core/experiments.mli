@@ -1,116 +1,57 @@
-(** One runner per table/figure of the paper's evaluation.
+(** The paper's evaluation as a registry of experiments.
 
-    Each function runs the corresponding scenario(s) and renders a
-    {!Table.t} whose series mirror what the figure plots.  [quick] shrinks
-    parameter sweeps and durations for smoke testing; the shapes survive
-    but absolute values get noisier.
+    Each experiment runs the corresponding scenario(s) and renders
+    {!Table.t}s whose series mirror what the figure plots.  [quick]
+    shrinks parameter sweeps and durations for smoke testing; the shapes
+    survive but absolute values get noisier.
 
     Figures 1 and 2 of the paper are illustrative diagrams with no data.
-    Figure pairs sharing simulations are computed together (4+5, 14+15).
+    Figure pairs sharing simulations are one unit of computation that
+    answers two ids (4+5, 14+15): either id runs the unit and returns
+    both tables.  The id ["all"] runs every unit in figure order
+    (ablations last).
 
     Every sweep is a list of closed, independently-seeded simulation jobs;
     passing [pool] fans the jobs out across that pool's worker domains
     (see {!Engine.Pool}).  Results are reassembled in deterministic order,
     so each table is bit-identical for any worker count. *)
 
-val fig3 : ?quick:bool -> ?pool:Engine.Pool.t -> unit -> Table.t
-val fig4_fig5 : ?quick:bool -> ?pool:Engine.Pool.t -> unit -> Table.t * Table.t
-val fig6 : ?quick:bool -> ?pool:Engine.Pool.t -> unit -> Table.t
-val fig7 : ?quick:bool -> ?pool:Engine.Pool.t -> unit -> Table.t
-val fig8 : ?quick:bool -> ?pool:Engine.Pool.t -> unit -> Table.t
-val fig9 : ?quick:bool -> ?pool:Engine.Pool.t -> unit -> Table.t
-val fig10 : ?quick:bool -> ?pool:Engine.Pool.t -> unit -> Table.t
-val fig11 : ?quick:bool -> ?pool:Engine.Pool.t -> unit -> Table.t
-val fig12 : ?quick:bool -> ?pool:Engine.Pool.t -> unit -> Table.t
-val fig13 : ?quick:bool -> ?pool:Engine.Pool.t -> unit -> Table.t
-val fig14_fig15 : ?quick:bool -> ?pool:Engine.Pool.t -> unit -> Table.t * Table.t
-val fig16 : ?quick:bool -> ?pool:Engine.Pool.t -> unit -> Table.t
-val fig17 : ?quick:bool -> ?pool:Engine.Pool.t -> unit -> Table.t
-val fig18 : ?quick:bool -> ?pool:Engine.Pool.t -> unit -> Table.t
-val fig19 : ?quick:bool -> ?pool:Engine.Pool.t -> unit -> Table.t
-val fig20 : ?quick:bool -> ?pool:Engine.Pool.t -> unit -> Table.t
-
-(** Ablations beyond the paper's figures. *)
-
-(** Self-clocking on/off across gamma for TFRC — isolates the effect the
-    paper attributes to packet conservation. *)
-val ablation_self_clocking : ?quick:bool -> ?pool:Engine.Pool.t -> unit -> Table.t
-
-(** Sweep of the conservative option's C constant. *)
-val ablation_conservative_c : ?quick:bool -> ?pool:Engine.Pool.t -> unit -> Table.t
-
-(** Droptail instead of RED for the Figure 4/5 scenario (the paper notes
-    the self-clocking benefit holds under droptail too). *)
-val ablation_droptail : ?quick:bool -> ?pool:Engine.Pool.t -> unit -> Table.t
-
-(** TCP-vs-TFRC fairness under square, sawtooth and reverse-sawtooth CBR
-    shapes (Section 4.2.1's in-text claim). *)
-val ablation_sawtooth : ?quick:bool -> ?pool:Engine.Pool.t -> unit -> Table.t
-
-(** Measured TCP throughput under random loss across the whole loss range,
-    against the Figure 20 analytic bounds (Appendix A validation). *)
-val ablation_response_sim : ?quick:bool -> ?pool:Engine.Pool.t -> unit -> Table.t
-
-(** Throughput bias between a 50 ms and a 150 ms flow of each protocol. *)
-val ablation_rtt_fairness : ?quick:bool -> ?pool:Engine.Pool.t -> unit -> Table.t
-
-(** Smoothness/throughput sweep of the binomial family along k + l = 1. *)
-val ablation_binomial_l : ?quick:bool -> ?pool:Engine.Pool.t -> unit -> Table.t
-
-(** Queue occupancy statistics per protocol under RED and droptail. *)
-val ablation_queue_dynamics : ?quick:bool -> ?pool:Engine.Pool.t -> unit -> Table.t
-
-(** TCP/TFRC throughput ratio under 3:1 vs 10:1 oscillations. *)
-val ablation_10to1_fairness : ?quick:bool -> ?pool:Engine.Pool.t -> unit -> Table.t
-
-(** The modern-CC protocol zoo (BBR-style, Vegas-style, TCP as yardstick)
-    through the paper's four dynamic scenarios — CBR restart, oscillating
-    bandwidth, flash crowd, designed loss pattern — one row per family,
-    one closed sweep job per (family, scenario) pair. *)
-val zoo_gauntlet : ?quick:bool -> ?pool:Engine.Pool.t -> unit -> Table.t
-
-(** All experiment tables in figure order (ablations included last).
-    [emit] is called on each table as soon as it is computed, for
-    streaming output during long runs.  [cache]/[now] are as in
-    {!run_cached}: each unit (figure pair, ablation, ...) hits or misses
-    the cache independently. *)
-val all :
-  ?emit:(Table.t -> unit) ->
-  ?quick:bool ->
-  ?pool:Engine.Pool.t ->
-  ?cache:Result_cache.t ->
-  ?now:(unit -> float) ->
-  unit ->
-  Table.t list
-
-(** Names accepted by {!run_by_name}. *)
+(** Experiment ids in figure order, each second id of a figure pair right
+    after its unit's.  ["all"] is not listed. *)
 val names : string list
 
 (** Units of computation for the full suite: {!names} minus the second
-    member of each figure pair computed by one sweep (fig5, fig15).
-    These are the jobs of the process backend — one work-queue entry, and
-    one cache entry, per unit. *)
+    id of each figure pair (fig5, fig15).  These are the jobs of the
+    process backend — one work-queue entry, and one cache entry, per
+    unit. *)
 val all_units : string list
 
-(** Run one experiment by id ("fig3" ... "fig20", "ablation-..."). *)
+(** The units an id runs: the one unit that answers it, {!all_units}
+    for ["all"], and [[]] for an unknown id. *)
+val units : string -> string list
+
+(** Run an experiment by id ("fig3" ... "fig20", "ablation-...", "all");
+    [None] for an unknown id. *)
 val run_by_name :
   ?quick:bool -> ?pool:Engine.Pool.t -> string -> Table.t list option
 
 (** Scenario parameters recorded in a run manifest for the named
     experiment (empty for unknown names and parameter-free tables).  The
     record is part of the result-cache key, so any change to it forces a
-    re-simulation.  For the combined id ["all"] the record embeds one
-    object per experiment name, keeping provenance complete in combined
-    manifests. *)
+    re-simulation.  For ["all"] the record embeds one object per id of
+    {!names}, keeping provenance complete in combined manifests. *)
 val params : ?quick:bool -> string -> (string * Engine.Json.t) list
 
-(** {!run_by_name} through the result cache.  On a hit the tables come
-    from disk (digest-verified); on a miss the experiment runs inside a
-    timing scope — each sweep job's wall time (per [now], default
-    [Sys.time]) is recorded into the cache's timing store and the
-    previous run's measurements order the pool's execution longest-first.
-    With [cache] absent this is exactly {!run_by_name}. *)
+(** {!run_by_name} through the result cache, one unit at a time.  On a
+    hit the unit's tables come from disk (digest-verified); on a miss the
+    unit runs inside a timing scope — each sweep job's wall time (per
+    [now], default [Sys.time]) is recorded into the cache's timing store
+    and the previous run's measurements order the pool's execution
+    longest-first.  An id and the unit that answers it share one cache
+    entry and one timing label.  [stream] is called on each table as its
+    unit finishes.  With [cache] absent this is exactly {!run_by_name}. *)
 val run_cached :
+  ?stream:(Table.t -> unit) ->
   ?quick:bool ->
   ?pool:Engine.Pool.t ->
   ?cache:Result_cache.t ->
@@ -124,17 +65,18 @@ val run_cached :
     with.  [None] until the unit has been measured by this binary. *)
 val unit_cost : cache:Result_cache.t -> quick:bool -> string -> float option
 
-(** [run_to_dir ~dir ~jobs name] runs the experiment (through [cache]
-    when given) and writes its tables (per [emit], default [Both]) plus
-    [dir/manifest.json]; returns the manifest path and the tables, or
-    [None] for an unknown name.  [jobs] is recorded in the manifest's
-    timing section only — it does not create a pool; pass [pool] for
-    parallel sweeps.  [now] supplies the wall clock for the timing
-    section (defaults to [Sys.time]).  When [cache] is given the timing
-    section also records this run's cache hits/misses and the code
+(** [run_to_dir ~dir ~jobs name] runs the experiment as {!run_cached}
+    does and writes its tables (per [emit], default [Both]) plus
+    [dir/manifest.json] under the id as given; returns the manifest path
+    and the tables, or [None] for an unknown name.  [jobs] is recorded in
+    the manifest's timing section only — it does not create a pool; pass
+    [pool] for parallel sweeps.  [now] supplies the wall clock for the
+    timing section (defaults to [Sys.time]).  When [cache] is given the
+    timing section also records this run's cache hits/misses and the code
     fingerprint.  [backend], when given, is recorded in the timing
     section as the pool backend that executed the sweep. *)
 val run_to_dir :
+  ?stream:(Table.t -> unit) ->
   ?quick:bool ->
   ?pool:Engine.Pool.t ->
   ?cache:Result_cache.t ->
@@ -145,18 +87,3 @@ val run_to_dir :
   jobs:int ->
   string ->
   (string * Table.t list) option
-
-(** Like {!run_to_dir} for the full suite under experiment id "all".
-    [stream] is invoked on each table as soon as it is computed. *)
-val all_to_dir :
-  ?stream:(Table.t -> unit) ->
-  ?quick:bool ->
-  ?pool:Engine.Pool.t ->
-  ?cache:Result_cache.t ->
-  ?backend:string ->
-  ?emit:Manifest.emit ->
-  ?now:(unit -> float) ->
-  dir:string ->
-  jobs:int ->
-  unit ->
-  string * Table.t list

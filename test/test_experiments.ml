@@ -1,7 +1,7 @@
 (* Experiment runners: analytic figures exactly, table plumbing, naming. *)
 
 let test_fig11_values () =
-  let t = Slowcc.Experiments.fig11 () in
+  let t = List.hd (Option.get (Slowcc.Experiments.run_by_name "fig11")) in
   Alcotest.(check int) "rows" 8 (List.length t.Slowcc.Table.rows);
   (* First row: b = 1/2, acks = log(0.1)/log(0.95) = 44.89 -> "45". *)
   match t.Slowcc.Table.rows with
@@ -11,7 +11,7 @@ let test_fig11_values () =
   | _ -> Alcotest.fail "unexpected shape"
 
 let test_fig20_values () =
-  let t = Slowcc.Experiments.fig20 () in
+  let t = List.hd (Option.get (Slowcc.Experiments.run_by_name "fig20")) in
   (* Row for p = 0.5 must show the Appendix A value 2/3 = 0.6667. *)
   let row =
     List.find (fun row -> List.hd row = "0.5000") t.Slowcc.Table.rows
@@ -75,6 +75,63 @@ let test_names_resolvable_analytic () =
   Alcotest.(check bool) "fig20 runs" true
     (Slowcc.Experiments.run_by_name "fig20" <> None)
 
+(* The parameter records as every manifest digest and cache key embeds
+   them: a change to these bytes moves every digest and invalidates every
+   cache entry. *)
+let test_params_bytes () =
+  let saved = Engine.Fastforward.get_default () in
+  Engine.Fastforward.set_default Engine.Fastforward.Off;
+  Fun.protect ~finally:(fun () -> Engine.Fastforward.set_default saved)
+  @@ fun () ->
+  let md5 quick =
+    Digest.to_hex
+      (Digest.string
+         (Engine.Json.to_string ~minify:true
+            (Engine.Json.Obj (Slowcc.Experiments.params ~quick "all"))))
+  in
+  Alcotest.(check string) "quick" "c5ec501affa00f6b2654611c3bc40f84" (md5 true);
+  Alcotest.(check string) "full" "bb2c726b768d6fe5d8820940192e580b" (md5 false)
+
+let test_registry_ids () =
+  let open Slowcc.Experiments in
+  Alcotest.(check int) "no duplicate ids" (List.length names)
+    (List.length (List.sort_uniq String.compare names));
+  Alcotest.(check (list string)) "units are the ids minus fig5 and fig15"
+    (List.filter (fun n -> n <> "fig5" && n <> "fig15") names)
+    all_units;
+  Alcotest.(check (list string)) "all runs every unit" all_units (units "all");
+  List.iter
+    (fun (alias, unit) ->
+      Alcotest.(check (list string)) (alias ^ " runs its unit") [ unit ]
+        (units alias);
+      Alcotest.(check bool) (alias ^ " params are its unit's") true
+        (params ~quick:true alias = params ~quick:true unit
+        && params alias = params unit))
+    [ ("fig5", "fig4"); ("fig15", "fig14") ];
+  Alcotest.(check (list string)) "unknown id" [] (units "nope")
+
+(* An alias reads its unit's cache entry: a table stored under fig14's key
+   answers fig15 without simulating. *)
+let test_alias_hits_unit_entry () =
+  let module Cache = Slowcc.Result_cache in
+  let dir = "tmp-result-cache/alias" in
+  Cache.clear ~dir;
+  let cache = Cache.create ~dir () in
+  let sentinel =
+    Slowcc.Table.make ~id:"sentinel" ~title:"t" ~columns:[ "a" ] [ [ "1" ] ]
+  in
+  let key =
+    Cache.key cache ~experiment:"fig14" ~quick:true
+      ~params:(Slowcc.Experiments.params ~quick:true "fig14")
+  in
+  Cache.store cache ~key ~experiment:"fig14" ~quick:true [ sentinel ];
+  let tables = Slowcc.Experiments.run_cached ~quick:true ~cache "fig15" in
+  Alcotest.(check (option (list string))) "fig15 served from fig14's entry"
+    (Some [ "sentinel" ])
+    (Option.map (List.map (fun t -> t.Slowcc.Table.id)) tables);
+  Alcotest.(check (pair int int)) "1 hit, 0 misses" (1, 0)
+    (Cache.hits cache, Cache.misses cache)
+
 let suite =
   [
     Alcotest.test_case "fig11 analytic values" `Quick test_fig11_values;
@@ -85,4 +142,8 @@ let suite =
     Alcotest.test_case "save_csv" `Quick test_save_csv;
     Alcotest.test_case "unknown experiment" `Quick test_run_by_name_unknown;
     Alcotest.test_case "names table" `Quick test_names_resolvable_analytic;
+    Alcotest.test_case "params bytes" `Quick test_params_bytes;
+    Alcotest.test_case "registry ids" `Quick test_registry_ids;
+    Alcotest.test_case "alias hits its unit's entry" `Quick
+      test_alias_hits_unit_entry;
   ]
