@@ -707,18 +707,9 @@ let manyflow_cmd =
       value & flag
       & info [ "check" ]
           ~doc:
-            "Differential mode: run the struct-of-arrays engine and the \
-             per-object engine on the same scenario and compare end-state \
+            "Differential mode: run the flows as one n-slot engine and as \
+             n one-slot engines on the same scenario and compare end-state \
              digests; non-zero exit on mismatch.")
-  in
-  let batching_arg =
-    Arg.(
-      value & flag
-      & info [ "batching" ]
-          ~doc:
-            "Enable same-instant ack batching at the sink (single-N runs \
-             only; changes ack timing, so digests are not comparable to \
-             the per-object engine).")
   in
   let print_result (r : Slowcc.Manyflow.result) =
     Printf.printf
@@ -735,7 +726,7 @@ let manyflow_cmd =
           (100. *. frac))
       r.Slowcc.Manyflow.hist
   in
-  let run verbose quick sched n check batching =
+  let run verbose quick sched n check =
     setup_logs verbose;
     apply_sched sched;
     match (check, n) with
@@ -755,9 +746,8 @@ let manyflow_cmd =
         Printf.printf "manyflow check: DIVERGENCE at n=%d\n" n;
         1)
     | false, Some n ->
-      let p = Slowcc.Manyflow.experiment_params ~quick n in
-      let p = { p with Slowcc.Manyflow.ack_batching = batching } in
-      print_result (Slowcc.Manyflow.run p);
+      print_result
+        (Slowcc.Manyflow.run (Slowcc.Manyflow.experiment_params ~quick n));
       0
     | false, None ->
       Format.eprintf
@@ -769,11 +759,9 @@ let manyflow_cmd =
     (Cmd.info "manyflow"
        ~doc:
          "Many-flow weak-convergence distributions on the struct-of-arrays \
-          engine: a single N, or the SoA-vs-object differential check (the \
-          sweep is 'slowcc_run run manyflow')")
-    Term.(
-      const run $ verbose_arg $ quick_arg $ sched_arg $ n_arg $ check_arg
-      $ batching_arg)
+          engine: a single N, or the n-slot vs one-slot differential check \
+          (the sweep is 'slowcc_run run manyflow')")
+    Term.(const run $ verbose_arg $ quick_arg $ sched_arg $ n_arg $ check_arg)
 
 let main =
   Cmd.group

@@ -372,7 +372,7 @@ let handle_ack t (pkt : Netsim.Packet.t) =
 
 let create ~sim ~src ~dst ~flow ~pkt_size =
   let sink =
-    Sink.attach ~sack:false ~sim ~node:dst ~flow ~peer:(Netsim.Node.id src)
+    Sink.attach ~sim ~node:dst ~flow ~peer:(Netsim.Node.id src)
   in
   let t =
     {

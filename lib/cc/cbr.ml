@@ -6,7 +6,7 @@ type t = {
   pkt_size : int;
   mutable rate : float;
   mutable on : bool;
-  mutable timer : Engine.Sim.handle option;
+  mutable timer : Engine.Sim.timer;  (* next emission *)
   mutable seq : int;
   mutable pkts_sent : int;
   mutable bytes_sent : float;
@@ -18,8 +18,7 @@ type t = {
 
 let interval t = float_of_int (t.pkt_size * 8) /. t.rate
 
-let rec send_next t =
-  t.timer <- None;
+let send_next t =
   if t.on && t.rate > 0. then begin
     let pkt =
       Netsim.Packet.make ~size:t.pkt_size ~seq:t.seq ~flow:t.flow_id
@@ -30,8 +29,7 @@ let rec send_next t =
     t.pkts_sent <- t.pkts_sent + 1;
     t.bytes_sent <- t.bytes_sent +. float_of_int t.pkt_size;
     Netsim.Node.inject t.src pkt;
-    t.timer <-
-      Some (Engine.Sim.after_cancellable t.sim (interval t) (fun () -> send_next t))
+    Engine.Sim.arm_after t.timer (interval t)
   end
 
 let create ~sim ~src ~dst ~flow ~rate ~pkt_size =
@@ -45,7 +43,7 @@ let create ~sim ~src ~dst ~flow ~rate ~pkt_size =
       pkt_size;
       rate;
       on = false;
-      timer = None;
+      timer = Engine.Sim.timer sim ignore;
       seq = 0;
       pkts_sent = 0;
       bytes_sent = 0.;
@@ -54,6 +52,7 @@ let create ~sim ~src ~dst ~flow ~rate ~pkt_size =
       ff_was_on = false;
     }
   in
+  t.timer <- Engine.Sim.timer sim (fun () -> send_next t);
   Netsim.Node.attach dst ~flow (fun pkt ->
       t.bytes_delivered <-
         t.bytes_delivered +. float_of_int pkt.Netsim.Packet.size);
@@ -67,11 +66,7 @@ let start t =
 
 let stop t =
   t.on <- false;
-  match t.timer with
-  | Some h ->
-    Engine.Sim.cancel h;
-    t.timer <- None
-  | None -> ()
+  Engine.Sim.disarm t.timer
 
 (* --- fluid fast-forward ------------------------------------------------ *)
 

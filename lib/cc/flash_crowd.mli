@@ -1,8 +1,8 @@
 (** Flash crowd of short TCP transfers (Section 4.1.2).
 
-    During [\[start, start + duration)], new short {!Window_cc} flows of
-    [transfer_pkts] packets each arrive at [arrival_rate] flows per second
-    (Poisson arrivals).  Flows are spread round-robin over a pool of host
+    During [\[start, start + duration)], new short TCP flows (one-slot
+    {!Flow_soa} engines) of [transfer_pkts] packets each arrive at
+    [arrival_rate] flows per second (Poisson arrivals).  Flows are spread round-robin over a pool of host
     pairs so node fan-in stays realistic. *)
 
 type config = {

@@ -25,7 +25,7 @@ type t = {
   mutable seq : int;
   mutable no_decrease_until : float;  (* at most one decrease per RTT *)
   outstanding : (int, float) Hashtbl.t;  (* seq -> send time *)
-  mutable timer : Engine.Sim.handle option;
+  mutable timer : Engine.Sim.timer;  (* next emission *)
   mutable pkts_sent : int;
   mutable bytes_sent : float;
   mutable bytes_delivered : float;
@@ -36,8 +36,7 @@ let rtt t = if t.rtt_valid then t.srtt else initial_rtt
 
 let rate_pps t = Float.min max_rate_pps (t.w /. rtt t)
 
-let rec send_next t =
-  t.timer <- None;
+let send_next t =
   if t.running then begin
     let pkt =
       Netsim.Packet.make ~size:t.cfg.pkt_size ~seq:t.seq ~flow:t.flow_id
@@ -49,9 +48,7 @@ let rec send_next t =
     t.pkts_sent <- t.pkts_sent + 1;
     t.bytes_sent <- t.bytes_sent +. float_of_int t.cfg.pkt_size;
     Netsim.Node.inject t.src pkt;
-    let gap = 1. /. rate_pps t in
-    t.timer <-
-      Some (Engine.Sim.after_cancellable t.sim gap (fun () -> send_next t))
+    Engine.Sim.arm_after t.timer (1. /. rate_pps t)
   end
 
 let sample_rtt t sample =
@@ -131,13 +128,14 @@ let create ~sim ~src ~dst ~flow cfg =
       seq = 0;
       no_decrease_until = 0.;
       outstanding = Hashtbl.create 64;
-      timer = None;
+      timer = Engine.Sim.timer sim ignore;
       pkts_sent = 0;
       bytes_sent = 0.;
       bytes_delivered = 0.;
       n_loss_events = 0;
     }
   in
+  t.timer <- Engine.Sim.timer sim (fun () -> send_next t);
   attach_receiver t;
   Netsim.Node.attach src ~flow (handle_ack t);
   t
@@ -150,11 +148,7 @@ let start t =
 
 let stop t =
   t.running <- false;
-  match t.timer with
-  | Some h ->
-    Engine.Sim.cancel h;
-    t.timer <- None
-  | None -> ()
+  Engine.Sim.disarm t.timer
 
 let flow t =
   {

@@ -7,10 +7,6 @@ type t = {
   node : Netsim.Node.t;
   flow : int;
   peer : int;
-  sack : bool;  (* compute SACK blocks on each ack (senders without SACK
-                   ignore them, so skipping the per-ack fold over the
-                   out-of-order set is behavior-identical and removes the
-                   sink from the allocation profile entirely) *)
   mutable next_expected : int;
   mutable out_of_order : IntSet.t;
   mutable bytes : int;
@@ -18,28 +14,12 @@ type t = {
   mutable last_ecn : bool;
 }
 
-(* Contiguous runs of the out-of-order set as SACK blocks [lo, hi),
-   highest (most useful) first, at most three. *)
-let sack_blocks t =
-  let runs, current =
-    IntSet.fold
-      (fun seq (runs, current) ->
-        match current with
-        | Some (lo, hi) when seq = hi -> (runs, Some (lo, hi + 1))
-        | Some run -> (run :: runs, Some (seq, seq + 1))
-        | None -> (runs, Some (seq, seq + 1)))
-      t.out_of_order ([], None)
-  in
-  let runs = match current with Some run -> run :: runs | None -> runs in
-  List.filteri (fun i _ -> i < 3) runs
-
 let send_ack t =
-  let sack = if t.sack then sack_blocks t else [] in
   let ack =
     Netsim.Packet.alloc_ack ~size:ack_size ~flow:t.flow
       ~src:(Netsim.Node.id t.node) ~dst:t.peer
       ~sent_at:(Engine.Sim.now t.sim)
-      ~cum_seq:t.next_expected ~sack
+      ~cum_seq:t.next_expected ~sack:[]
   in
   ack.Netsim.Packet.ecn <- t.last_ecn;
   t.last_ecn <- false;
@@ -66,14 +46,13 @@ let handle t (pkt : Netsim.Packet.t) =
   | Netsim.Packet.Tear_fb _ ->
     ()
 
-let attach ~sack ~sim ~node ~flow ~peer =
+let attach ~sim ~node ~flow ~peer =
   let t =
     {
       sim;
       node;
       flow;
       peer;
-      sack;
       next_expected = 0;
       out_of_order = IntSet.empty;
       bytes = 0;
@@ -87,20 +66,3 @@ let attach ~sack ~sim ~node ~flow ~peer =
 let bytes_received t = float_of_int t.bytes
 let pkts_received t = t.pkts
 let cumulative t = t.next_expected
-
-(* Fluid fast-forward support: [ff_credit] folds packets carried by the
-   fluid model into the delivery counters (no acks are generated — the
-   frozen sender would ignore them); [fast_forward] jumps the receive
-   frontier to [next_expected] on thaw so the resumed sender's first
-   packet at its new frontier looks in-order.  The out-of-order buffer is
-   dropped: anything buffered predates the jump. *)
-let ff_credit t ~pkts ~pkt_size =
-  if pkts < 0 then invalid_arg "Sink.ff_credit: negative credit";
-  t.bytes <- t.bytes + (pkts * pkt_size);
-  t.pkts <- t.pkts + pkts
-
-let fast_forward t ~next_expected =
-  if next_expected < t.next_expected then
-    invalid_arg "Sink.fast_forward: frontier moves forward only";
-  t.next_expected <- next_expected;
-  t.out_of_order <- IntSet.empty

@@ -27,6 +27,8 @@ type receiver = {
   mutable last_ts : float;
   mutable last_ts_arrival : float;
   mutable last_data_time : float;
+  mutable watchdog : Engine.Sim.timer;
+  mutable watchdog_rtt : float;  (* emulated RTT when [watchdog] was armed *)
 }
 
 let receiver_rtt r =
@@ -114,17 +116,23 @@ let receiver_handle r (pkt : Netsim.Packet.t) =
     ()
 
 (* Timeout emulation: when data stops arriving entirely for several
-   emulated RTTs, collapse the window like TCP's RTO would. *)
-let rec watchdog r =
+   emulated RTTs, collapse the window like TCP's RTO would.  The check
+   re-arms itself every four emulated RTTs while the flow runs; [stop]
+   disarms it. *)
+let arm_watchdog r =
   let rtt = receiver_rtt r in
-  Engine.Sim.after r.r_sim (4. *. rtt) (fun () ->
-      let now = Engine.Sim.now r.r_sim in
-      if r.last_data_time > 0. && now -. r.last_data_time > 4. *. rtt then begin
-        r.ssthresh <- Float.max 2. (r.cwnd /. 2.);
-        r.cwnd <- 1.;
-        close_round r
-      end;
-      watchdog r)
+  r.watchdog_rtt <- rtt;
+  Engine.Sim.arm_after r.watchdog (4. *. rtt)
+
+let watchdog r =
+  let now = Engine.Sim.now r.r_sim in
+  if r.last_data_time > 0. && now -. r.last_data_time > 4. *. r.watchdog_rtt
+  then begin
+    r.ssthresh <- Float.max 2. (r.cwnd /. 2.);
+    r.cwnd <- 1.;
+    close_round r
+  end;
+  arm_watchdog r
 
 (* ------------------------------------------------------------------ *)
 (* Sender: transmit at the reported rate                                *)
@@ -142,7 +150,7 @@ type t = {
   mutable srtt : float;
   mutable rtt_valid : bool;
   mutable seq : int;
-  mutable send_timer : Engine.Sim.handle option;
+  mutable send_timer : Engine.Sim.timer;
   mutable pkts_sent : int;
   mutable bytes_sent : float;
   mutable bytes_delivered : float;
@@ -150,8 +158,7 @@ type t = {
 
 let sender_rtt t = if t.rtt_valid then t.srtt else initial_rtt
 
-let rec send_next t =
-  t.send_timer <- None;
+let send_next t =
   if t.running then begin
     let pkt =
       Netsim.Packet.make ~size:t.cfg.pkt_size ~seq:t.seq ~flow:t.flow_id
@@ -169,9 +176,7 @@ let rec send_next t =
     t.pkts_sent <- t.pkts_sent + 1;
     t.bytes_sent <- t.bytes_sent +. float_of_int t.cfg.pkt_size;
     Netsim.Node.inject t.src pkt;
-    let gap = 1. /. Float.max min_rate_pps t.x in
-    t.send_timer <-
-      Some (Engine.Sim.after_cancellable t.sim gap (fun () -> send_next t))
+    Engine.Sim.arm_after t.send_timer (1. /. Float.max min_rate_pps t.x)
   end
 
 let handle_fb t (pkt : Netsim.Packet.t) =
@@ -211,9 +216,11 @@ let create ~sim ~src ~dst ~flow cfg =
       last_ts = 0.;
       last_ts_arrival = 0.;
       last_data_time = 0.;
+      watchdog = Engine.Sim.timer sim ignore;
+      watchdog_rtt = initial_rtt;
     }
   in
-  Netsim.Node.attach dst ~flow (receiver_handle receiver);
+  receiver.watchdog <- Engine.Sim.timer sim (fun () -> watchdog receiver);
   let t =
     {
       sim;
@@ -227,12 +234,13 @@ let create ~sim ~src ~dst ~flow cfg =
       srtt = 0.;
       rtt_valid = false;
       seq = 0;
-      send_timer = None;
+      send_timer = Engine.Sim.timer sim ignore;
       pkts_sent = 0;
       bytes_sent = 0.;
       bytes_delivered = 0.;
     }
   in
+  t.send_timer <- Engine.Sim.timer sim (fun () -> send_next t);
   Netsim.Node.attach src ~flow (handle_fb t);
   (* Track delivery at the receiver for the Flow counters. *)
   let inner = receiver_handle receiver in
@@ -249,16 +257,13 @@ let start t =
   if not t.running then begin
     t.running <- true;
     send_next t;
-    watchdog t.receiver
+    arm_watchdog t.receiver
   end
 
 let stop t =
   t.running <- false;
-  match t.send_timer with
-  | Some h ->
-    Engine.Sim.cancel h;
-    t.send_timer <- None
-  | None -> ()
+  Engine.Sim.disarm t.send_timer;
+  Engine.Sim.disarm t.receiver.watchdog
 
 let flow t =
   {

@@ -276,7 +276,7 @@ let create ~sim ~src ~dst ~flow cfg =
   if cfg.alpha < 0. || cfg.beta < cfg.alpha then
     invalid_arg "Vegas: need 0 <= alpha <= beta";
   let sink =
-    Sink.attach ~sack:false ~sim ~node:dst ~flow ~peer:(Netsim.Node.id src)
+    Sink.attach ~sim ~node:dst ~flow ~peer:(Netsim.Node.id src)
   in
   let t =
     {

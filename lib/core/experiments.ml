@@ -597,8 +597,9 @@ let ablation_response_sim ?(quick = false) ?pool () =
         sack;
       }
     in
-    let tcp = Cc.Window_cc.create ~sim ~src ~dst ~flow:flow_id cfg in
-    let flow = Cc.Window_cc.flow tcp in
+    let flow =
+      Cc.Flow_soa.flow (Cc.Flow_soa.create ~sim ~src ~dst ~base:flow_id ~n:1 cfg) 0
+    in
     flow.Cc.Flow.start ();
     let horizon = 120. in
     Engine.Sim.run ~until:horizon sim;
@@ -788,7 +789,9 @@ let ablation_binomial_l ?(quick = false) ?pool () =
           let src, dst = Netsim.Dumbbell.add_host_pair db in
           let flow_id = Netsim.Dumbbell.fresh_flow db in
           let cfg = Cc.Window_cc.default_config rule in
-          Cc.Window_cc.flow (Cc.Window_cc.create ~sim ~src ~dst ~flow:flow_id cfg)
+          Cc.Flow_soa.flow
+            (Cc.Flow_soa.create ~sim ~src ~dst ~base:flow_id ~n:1 cfg)
+            0
         in
         (* Smoothness under the mild pattern. *)
         let sim = Engine.Sim.create () in

@@ -2,8 +2,9 @@
    one shared host pair, sized so the per-flow share of the bottleneck is
    far below one packet per RTT — the "weak convergence" ensemble regime
    where fairness is a distributional property.  The same builder exists
-   twice, once over the struct-of-arrays engine and once over per-object
-   [Cc.Window_cc] senders, so the two can be checked digest-identical. *)
+   twice, once as one n-slot engine and once as n one-slot engines (how
+   the figures build their flows), so the RTO wheel's aggregation can be
+   checked digest-identical to per-flow wheels. *)
 
 type params = {
   n : int;
@@ -15,7 +16,6 @@ type params = {
   queue : Netsim.Dumbbell.queue_kind;
   gamma : float;  (** TCP(1/gamma) increase/decrease rule *)
   seed : int;
-  ack_batching : bool;
 }
 
 (* 16 kbit/s of bottleneck per flow: a fair share of two packets per
@@ -35,10 +35,11 @@ let default_params ~n =
     queue = Netsim.Dumbbell.Red;
     gamma = 2.;
     seed = 42;
-    ack_batching = false;
   }
 
-let rule p = Cc.Window_cc.tcp_compatible_aimd ~b:(1. /. p.gamma)
+let config p =
+  Cc.Window_cc.default_config
+    (Cc.Window_cc.tcp_compatible_aimd ~b:(1. /. p.gamma))
 
 let topology ?sched p =
   let sim = Engine.Sim.create ?sched () in
@@ -80,34 +81,26 @@ type built_soa = {
 
 let build_soa ?sched p =
   let sim, db, src, dst = topology ?sched p in
-  let cfg =
-    {
-      (Cc.Flow_soa.default_config (rule p)) with
-      Cc.Flow_soa.ack_batching = p.ack_batching;
-    }
-  in
-  let eng = Cc.Flow_soa.create ~sim ~src ~dst ~base:0 ~n:p.n cfg in
+  let eng = Cc.Flow_soa.create ~sim ~src ~dst ~base:0 ~n:p.n (config p) in
   schedule_starts sim p (fun i -> Cc.Flow_soa.start eng i);
   { sim; db; eng }
 
 let build_object ?sched p =
-  if p.ack_batching then
-    invalid_arg "Manyflow.build_object: ack batching is SoA-only";
   let sim, db, src, dst = topology ?sched p in
-  let cfg = Cc.Window_cc.default_config (rule p) in
+  let cfg = config p in
   let flows =
     Array.init p.n (fun i ->
-        Cc.Window_cc.flow (Cc.Window_cc.create ~sim ~src ~dst ~flow:i cfg))
+        Cc.Flow_soa.flow (Cc.Flow_soa.create ~sim ~src ~dst ~base:i ~n:1 cfg) 0)
   in
   schedule_starts sim p (fun i -> flows.(i).Cc.Flow.start ());
   (sim, db, flows)
 
 (* ------------------------------------------------------------------ *)
-(* Differential digests: SoA vs per-object                             *)
+(* Differential digests: one n-slot engine vs n one-slot engines      *)
 (* ------------------------------------------------------------------ *)
 
 (* Uid-free end state, as in [Fuzz.trace_of] but WITHOUT the processed-
-   event count: consolidating per-flow timers into one wheel changes how
+   event count: consolidating n flows' timers into one wheel changes how
    many events exist without changing what any of them computes, so only
    flow stats, link counters and the final clock are compared. *)
 let end_state_trace ~sim ~links flows =
@@ -147,8 +140,8 @@ let digest_object ?sched p =
   Digest.to_hex
     (Digest.string (end_state_trace ~sim ~links:(Netsim.Dumbbell.links db) flows))
 
-(* [None] when the struct-of-arrays engine reproduces the per-object
-   engine byte-for-byte, [Some msg] otherwise. *)
+(* [None] when the n-slot engine reproduces n one-slot engines
+   byte-for-byte, [Some msg] otherwise. *)
 let check_equiv ?sched p =
   let soa = digest_soa ?sched p in
   let obj = digest_object ?sched p in
@@ -191,7 +184,6 @@ let fuzz_params ~quick seed =
     queue;
     gamma;
     seed;
-    ack_batching = false;
   }
 
 let fuzz_check ?(quick = false) seed = check_equiv (fuzz_params ~quick seed)

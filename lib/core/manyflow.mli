@@ -1,7 +1,10 @@
 (** Many-flow dumbbell harness over {!Cc.Flow_soa}: weak-convergence
     throughput/fairness distributions for N ∈ 10²..10⁵ flows, plus the
-    differential check that the struct-of-arrays engine is byte-identical
-    to per-object {!Cc.Window_cc} senders at equal inputs. *)
+    differential check that one n-slot engine is byte-identical to n
+    one-slot engines (how the figures build their flows) at equal
+    inputs.  That checks the RTO wheel's aggregation of many flows'
+    timers, the one part of the engine a single flow does not
+    exercise. *)
 
 type params = {
   n : int;
@@ -13,11 +16,10 @@ type params = {
   queue : Netsim.Dumbbell.queue_kind;
   gamma : float;  (** TCP(1/gamma) increase/decrease rule *)
   seed : int;
-  ack_batching : bool;
 }
 
 (** 16 kbit/s of bottleneck per flow (sub-packet fair share per RTT):
-    RED queue, 50 ms RTT, gamma = 2, batching off. *)
+    RED queue, 50 ms RTT, gamma = 2. *)
 val default_params : n:int -> params
 
 (** Experiment sweep sizes: quick [100;1k;10k], full adds 100k. *)
@@ -33,17 +35,17 @@ type built_soa = {
   eng : Cc.Flow_soa.t;
 }
 
-(** Build (not run) the SoA engine instance with starts scheduled. *)
+(** Build (not run) one n-slot engine with starts scheduled. *)
 val build_soa : ?sched:Engine.Scheduler.kind -> params -> built_soa
 
-(** Per-object twin: same topology, same start schedule, one
-    {!Cc.Window_cc} sender per flow.  Requires [ack_batching = false]. *)
+(** Per-flow twin: same topology, same start schedule, one one-slot
+    engine per flow. *)
 val build_object :
   ?sched:Engine.Scheduler.kind ->
   params ->
   Engine.Sim.t * Netsim.Dumbbell.t * Cc.Flow.t array
 
-(** {2 Differential: SoA vs per-object} *)
+(** {2 Differential: n-slot vs one-slot engines} *)
 
 (** Uid-free, event-count-free end-state trace (the digest input);
     exposed so tests can diff divergences field by field. *)
@@ -55,8 +57,7 @@ val digest_soa : ?sched:Engine.Scheduler.kind -> params -> string
 
 val digest_object : ?sched:Engine.Scheduler.kind -> params -> string
 
-(** [None] when both engines end byte-identical, [Some msg] otherwise.
-    Requires [ack_batching = false]. *)
+(** [None] when both builds end byte-identical, [Some msg] otherwise. *)
 val check_equiv : ?sched:Engine.Scheduler.kind -> params -> string option
 
 (** Randomized small instance derived from [seed]. *)

@@ -167,7 +167,7 @@ let spawn_between ?(pkt_size = 1000) ?total_pkts ?(ca_start = false) t ~sim
         initial_ssthresh = (if ca_start then Some 2. else None);
       }
     in
-    Cc.Window_cc.flow (Cc.Window_cc.create ~sim ~src ~dst ~flow:flow_id cfg)
+    Cc.Flow_soa.flow (Cc.Flow_soa.create ~sim ~src ~dst ~base:flow_id ~n:1 cfg) 0
   | Rap gamma ->
     if total_pkts <> None then
       invalid_arg "Protocol.spawn: RAP flows are long-lived only";

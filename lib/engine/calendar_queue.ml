@@ -50,7 +50,7 @@ type 'a t = {
 }
 
 let dummy : Obj.t = Obj.repr ()
-let initial_nodes = 256
+let initial_nodes = 8
 let initial_buckets = 8
 let min_buckets = 8
 

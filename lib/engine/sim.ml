@@ -1,5 +1,3 @@
-type handle = { mutable live : bool }
-
 type queue =
   | Q_heap of (unit -> unit) Event_heap.t
   | Q_cal of (unit -> unit) Calendar_queue.t
@@ -89,22 +87,6 @@ let at_seq t time ~seq f =
   | Q_cal c -> Calendar_queue.add_with_seq c ~time ~seq f
 
 let[@inline] after t delay f = at t (now t +. delay) f
-
-let at_cancellable t time f =
-  let handle = { live = true } in
-  let guarded () =
-    if handle.live then begin
-      handle.live <- false;
-      f ()
-    end
-  in
-  at t time guarded;
-  handle
-
-let after_cancellable t delay f = at_cancellable t (now t +. delay) f
-
-let cancel handle = handle.live <- false
-let pending handle = handle.live
 
 (* Reusable timers: one guarded closure, zero allocation on re-arm, and —
    crucially for re-arm-heavy users like the TCP RTO, which pushes its

@@ -10,9 +10,6 @@
 
 type t
 
-(** A handle to a scheduled event that can be cancelled. *)
-type handle
-
 (** [create ?sched ?fastforward ()] makes a fresh simulator.  [sched]
     defaults to {!Scheduler.get_default} (calendar queue unless
     overridden); [fastforward] to {!Fastforward.get_default} ([Off]
@@ -57,23 +54,12 @@ val alloc_seq : t -> int
     [Invalid_argument]. *)
 val at_seq : t -> float -> seq:int -> (unit -> unit) -> unit
 
-(** Cancellable variants. *)
-val at_cancellable : t -> float -> (unit -> unit) -> handle
-
-val after_cancellable : t -> float -> (unit -> unit) -> handle
-
-(** Cancel an event; a no-op if already fired or cancelled. *)
-val cancel : handle -> unit
-
-(** True if the handle has neither fired nor been cancelled. *)
-val pending : handle -> bool
-
 (** {2 Reusable timers}
 
     A [timer] is an arm/disarm-many-times alarm bound to one callback at
-    creation.  Unlike {!after_cancellable} — which allocates a handle and
-    a fresh guarded closure per scheduling — re-arming a timer allocates
-    nothing, which matters for per-ack retransmit timers.  Arming while
+    creation; it is the simulator's only cancellable event.  Re-arming a
+    timer allocates nothing, which matters for per-ack retransmit
+    timers.  Arming while
     already armed simply replaces the deadline.  A timer keeps at most one
     live queue entry: re-arming LATER than the pending entry is O(1) (the
     entry chases the deadline when it pops), so the ack-path pattern

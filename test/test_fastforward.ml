@@ -216,8 +216,8 @@ let test_ff_reduces_events () =
           List.init 4 (fun _ ->
               let src, dst = Netsim.Dumbbell.add_host_pair db in
               let flow_id = Netsim.Dumbbell.fresh_flow db in
-              let t = Cc.Window_cc.create ~sim ~src ~dst ~flow:flow_id cfg in
-              let f = Cc.Window_cc.flow t in
+              let t = Cc.Flow_soa.create ~sim ~src ~dst ~base:flow_id ~n:1 cfg in
+              let f = Cc.Flow_soa.flow t 0 in
               f.Cc.Flow.start ();
               f)
         in

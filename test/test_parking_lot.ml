@@ -16,7 +16,7 @@ let tcp_flow sim pl ~from_site ~to_site =
   let cfg =
     Cc.Window_cc.default_config (Cc.Window_cc.tcp_compatible_aimd ~b:0.5)
   in
-  Cc.Window_cc.flow (Cc.Window_cc.create ~sim ~src ~dst ~flow:flow_id cfg)
+  Cc.Flow_soa.flow (Cc.Flow_soa.create ~sim ~src ~dst ~base:flow_id ~n:1 cfg) 0
 
 let test_end_to_end_path () =
   let sim, pl = fixture () in

@@ -10,7 +10,7 @@ let spawn ?(sack = true) ?(cfg_of = Fun.id) sim db =
         Cc.Window_cc.sack;
       }
   in
-  Cc.Window_cc.create ~sim ~src ~dst ~flow:flow_id cfg
+  Cc.Flow_soa.create ~sim ~src ~dst ~base:flow_id ~n:1 cfg
 
 let burst_loss_fixture ~sack ~burst =
   (* Drop [burst] consecutive packets once, early in the flow. *)
@@ -43,7 +43,9 @@ let burst_loss_fixture ~sack ~burst =
   (sim, tcp)
 
 let test_sack_blocks_generated () =
-  (* Receiver-side check: holes produce SACK blocks on duplicate acks. *)
+  (* Receiver-side check: holes produce SACK blocks on duplicate acks.
+     The engine's sender side stays idle; a probe replaces its ack
+     handler to capture what the sink sends. *)
   let sim = Engine.Sim.create () in
   let node = Netsim.Node.create ~id:1 in
   let sender = Netsim.Node.create ~id:0 in
@@ -53,12 +55,18 @@ let test_sack_blocks_generated () =
   in
   Netsim.Link.connect link (Netsim.Node.receive sender);
   Netsim.Node.set_default_route node link;
+  let cfg =
+    {
+      (Cc.Window_cc.default_config (Cc.Window_cc.tcp_compatible_aimd ~b:0.5)) with
+      Cc.Window_cc.sack = true;
+    }
+  in
+  ignore (Cc.Flow_soa.create ~sim ~src:sender ~dst:node ~base:1 ~n:1 cfg);
   let sacks = ref [] in
   Netsim.Node.attach sender ~flow:1 (fun pkt ->
       match pkt.Netsim.Packet.payload with
       | Netsim.Packet.Ack { sack; _ } -> sacks := sack :: !sacks
       | _ -> ());
-  ignore (Cc.Sink.attach ~sack:true ~sim ~node ~flow:1 ~peer:0);
   let send seq =
     Netsim.Node.receive node
       (Netsim.Packet.make ~seq ~flow:1 ~src:0 ~dst:1 ~sent_at:0. ())
@@ -75,20 +83,20 @@ let test_sack_blocks_generated () =
 
 let test_sack_recovers_burst_without_timeout () =
   let sim, tcp = burst_loss_fixture ~sack:true ~burst:15 in
-  (Cc.Window_cc.flow tcp).Cc.Flow.start ();
+  (Cc.Flow_soa.flow tcp 0).Cc.Flow.start ();
   Engine.Sim.run ~until:5. sim;
-  Alcotest.(check int) "no timeouts" 0 (Cc.Window_cc.timeouts tcp);
+  Alcotest.(check int) "no timeouts" 0 (Cc.Flow_soa.timeouts tcp 0);
   Alcotest.(check bool) "made progress" true
-    ((Cc.Window_cc.flow tcp).Cc.Flow.bytes_delivered () > 1e6)
+    ((Cc.Flow_soa.flow tcp 0).Cc.Flow.bytes_delivered () > 1e6)
 
 let test_newreno_needs_timeout_on_same_burst () =
   (* The same burst without SACK must be visibly costlier: either a
      timeout or clearly less delivered data. *)
   let run sack =
     let sim, tcp = burst_loss_fixture ~sack ~burst:15 in
-    (Cc.Window_cc.flow tcp).Cc.Flow.start ();
+    (Cc.Flow_soa.flow tcp 0).Cc.Flow.start ();
     Engine.Sim.run ~until:5. sim;
-    (Cc.Window_cc.timeouts tcp, (Cc.Window_cc.flow tcp).Cc.Flow.bytes_delivered ())
+    (Cc.Flow_soa.timeouts tcp 0, (Cc.Flow_soa.flow tcp 0).Cc.Flow.bytes_delivered ())
   in
   let to_sack, bytes_sack = run true in
   let to_plain, bytes_plain = run false in
@@ -107,9 +115,9 @@ let test_sack_steady_state_unchanged () =
       Netsim.Dumbbell.create ~sim ~rng (Netsim.Dumbbell.default_config ~bandwidth:8e6)
     in
     let tcp = spawn ~sack sim db in
-    (Cc.Window_cc.flow tcp).Cc.Flow.start ();
+    (Cc.Flow_soa.flow tcp 0).Cc.Flow.start ();
     Engine.Sim.run ~until:30. sim;
-    (Cc.Window_cc.flow tcp).Cc.Flow.bytes_delivered ()
+    (Cc.Flow_soa.flow tcp 0).Cc.Flow.bytes_delivered ()
   in
   let with_sack = run true and plain = run false in
   Alcotest.(check bool)
@@ -134,7 +142,7 @@ let test_sack_between_appendix_bounds () =
   in
   let db = Netsim.Dumbbell.create ~sim ~rng config in
   let tcp = spawn ~sack:true sim db in
-  let flow = Cc.Window_cc.flow tcp in
+  let flow = Cc.Flow_soa.flow tcp 0 in
   flow.Cc.Flow.start ();
   Engine.Sim.run ~until:120. sim;
   let pkts_per_rtt = flow.Cc.Flow.bytes_delivered () /. 1000. /. 2400. in

@@ -36,24 +36,6 @@ let test_until () =
   Alcotest.(check bool) "not fired" false !fired;
   check_float "clock at horizon" 5. (Engine.Sim.now sim)
 
-let test_cancel () =
-  let sim = Engine.Sim.create () in
-  let fired = ref false in
-  let h = Engine.Sim.at_cancellable sim 1. (fun () -> fired := true) in
-  Alcotest.(check bool) "pending" true (Engine.Sim.pending h);
-  Engine.Sim.cancel h;
-  Engine.Sim.run sim;
-  Alcotest.(check bool) "cancelled" false !fired;
-  Alcotest.(check bool) "not pending" false (Engine.Sim.pending h)
-
-let test_handle_fires_once () =
-  let sim = Engine.Sim.create () in
-  let count = ref 0 in
-  let h = Engine.Sim.after_cancellable sim 1. (fun () -> incr count) in
-  Engine.Sim.run sim;
-  Alcotest.(check int) "fired" 1 !count;
-  Alcotest.(check bool) "consumed" false (Engine.Sim.pending h)
-
 let test_every () =
   let sim = Engine.Sim.create () in
   let count = ref 0 in
@@ -134,8 +116,6 @@ let suite =
     Alcotest.test_case "clock advances" `Quick test_now_advances;
     Alcotest.test_case "past scheduling rejected" `Quick test_past_rejected;
     Alcotest.test_case "run until horizon" `Quick test_until;
-    Alcotest.test_case "cancel" `Quick test_cancel;
-    Alcotest.test_case "handle fires once" `Quick test_handle_fires_once;
     Alcotest.test_case "every" `Quick test_every;
     Alcotest.test_case "every rejects bad interval" `Quick test_every_bad_interval;
     Alcotest.test_case "stop" `Quick test_stop;

@@ -18,7 +18,7 @@ let fixture () =
       | Netsim.Packet.Ack { cum_seq; sack = _ } ->
         acks := (cum_seq, pkt.Netsim.Packet.ecn) :: !acks
       | _ -> ());
-  let sink = Cc.Sink.attach ~sack:true ~sim ~node ~flow:3 ~peer:0 in
+  let sink = Cc.Sink.attach ~sim ~node ~flow:3 ~peer:0 in
   let send ?(ecn = false) seq =
     let pkt =
       Netsim.Packet.make ~seq ~flow:3 ~src:0 ~dst:1 ~sent_at:0. ()

@@ -88,6 +88,21 @@ let test_stop () =
   Engine.Sim.run ~until:10. sim;
   Alcotest.(check int) "silent after stop" sent (flow.Cc.Flow.pkts_sent ())
 
+(* A stopped flow goes quiet in both directions: its receiver's timeout
+   emulation must not keep collapsing the window and reporting rates. *)
+let test_stop_silences_feedback () =
+  let sim, db, tear = fixture () in
+  let flow = Cc.Tear.flow tear in
+  flow.Cc.Flow.start ();
+  Engine.Sim.at sim 5. flow.Cc.Flow.stop;
+  (* One second drains what was in flight at the stop. *)
+  Engine.Sim.run ~until:6. sim;
+  let reverse = Netsim.Dumbbell.bottleneck_rev db in
+  let fb = Netsim.Link.departures reverse in
+  Engine.Sim.run ~until:20. sim;
+  Alcotest.(check int) "no feedback after stop" fb
+    (Netsim.Link.departures reverse)
+
 let test_validation () =
   let sim = Engine.Sim.create () in
   let node = Netsim.Node.create ~id:0 in
@@ -105,5 +120,7 @@ let suite =
     Alcotest.test_case "smoother than tcp" `Slow test_smoother_than_tcp;
     Alcotest.test_case "roughly tcp-compatible" `Slow test_roughly_tcp_compatible;
     Alcotest.test_case "stop" `Quick test_stop;
+    Alcotest.test_case "stop silences feedback" `Quick
+      test_stop_silences_feedback;
     Alcotest.test_case "validation" `Quick test_validation;
   ]

@@ -15,27 +15,27 @@ let spawn_wcc sim db =
   let cfg =
     Cc.Window_cc.default_config (Cc.Window_cc.tcp_compatible_aimd ~b:0.5)
   in
-  Cc.Window_cc.create ~sim ~src ~dst ~flow:flow_id cfg
+  Cc.Flow_soa.create ~sim ~src ~dst ~base:flow_id ~n:1 cfg
 
 (* --- ECN --- *)
 
 let test_tcp_reduces_on_ecn_without_loss () =
   let sim, db = db_fixture ~queue:Netsim.Dumbbell.Red_ecn ~bandwidth:4e6 () in
   let tcp = spawn_wcc sim db in
-  (Cc.Window_cc.flow tcp).Cc.Flow.start ();
+  (Cc.Flow_soa.flow tcp 0).Cc.Flow.start ();
   (* Skip the slow-start overshoot (marking cannot prevent a buffer
      overflow burst); steady state must be purely mark-driven. *)
   Engine.Sim.run ~until:10. sim;
   let link = Netsim.Dumbbell.bottleneck db in
   let drops10 = Netsim.Link.drops link in
-  let rtx10 = Cc.Window_cc.retransmitted_pkts tcp in
+  let rtx10 = Cc.Flow_soa.retransmitted_pkts tcp 0 in
   Engine.Sim.run ~until:40. sim;
   Alcotest.(check int) "no steady-state drops" drops10 (Netsim.Link.drops link);
   Alcotest.(check int) "no steady-state retransmissions" rtx10
-    (Cc.Window_cc.retransmitted_pkts tcp);
-  Alcotest.(check bool) "window bounded" true (Cc.Window_cc.cwnd tcp < 120.);
+    (Cc.Flow_soa.retransmitted_pkts tcp 0);
+  Alcotest.(check bool) "window bounded" true (Cc.Flow_soa.cwnd tcp 0 < 120.);
   let mbps =
-    (Cc.Window_cc.flow tcp).Cc.Flow.bytes_delivered () *. 8. /. 40. /. 1e6
+    (Cc.Flow_soa.flow tcp 0).Cc.Flow.bytes_delivered () *. 8. /. 40. /. 1e6
   in
   Alcotest.(check bool) "still fills link" true (mbps > 2.8)
 

@@ -1,4 +1,4 @@
-(* Additional Window_cc edge cases: caps, guards, probe RTT behavior. *)
+(* Additional window-sender edge cases: caps, guards, probe RTT behavior. *)
 
 let db_fixture ?(seed = 5) ?(bandwidth = 50e6) () =
   let sim = Engine.Sim.create () in
@@ -15,16 +15,16 @@ let spawn ?(cfg_of = Fun.id) sim db =
     cfg_of
       (Cc.Window_cc.default_config (Cc.Window_cc.tcp_compatible_aimd ~b:0.5))
   in
-  Cc.Window_cc.create ~sim ~src ~dst ~flow:flow_id cfg
+  Cc.Flow_soa.create ~sim ~src ~dst ~base:flow_id ~n:1 cfg
 
 let test_max_window_cap () =
   let sim, db = db_fixture () in
   let tcp =
     spawn ~cfg_of:(fun c -> { c with Cc.Window_cc.max_window = 20. }) sim db
   in
-  (Cc.Window_cc.flow tcp).Cc.Flow.start ();
+  (Cc.Flow_soa.flow tcp 0).Cc.Flow.start ();
   Engine.Sim.run ~until:10. sim;
-  Alcotest.(check bool) "cwnd capped" true (Cc.Window_cc.cwnd tcp <= 20.)
+  Alcotest.(check bool) "cwnd capped" true (Cc.Flow_soa.cwnd tcp 0 <= 20.)
 
 let test_max_window_bounds_rate () =
   (* Window 10 on a 50 ms RTT = at most ~200 pkt/s regardless of link. *)
@@ -32,7 +32,7 @@ let test_max_window_bounds_rate () =
   let tcp =
     spawn ~cfg_of:(fun c -> { c with Cc.Window_cc.max_window = 10. }) sim db
   in
-  let flow = Cc.Window_cc.flow tcp in
+  let flow = Cc.Flow_soa.flow tcp 0 in
   flow.Cc.Flow.start ();
   Engine.Sim.run ~until:20. sim;
   let pps = flow.Cc.Flow.bytes_delivered () /. 1000. /. 20. in
@@ -45,7 +45,7 @@ let test_initial_window_respected () =
   let tcp =
     spawn ~cfg_of:(fun c -> { c with Cc.Window_cc.initial_window = 4. }) sim db
   in
-  let flow = Cc.Window_cc.flow tcp in
+  let flow = Cc.Flow_soa.flow tcp 0 in
   flow.Cc.Flow.start ();
   (* Before any ack can return (RTT 50 ms), exactly IW packets go out. *)
   Engine.Sim.run ~until:0.04 sim;
@@ -53,7 +53,7 @@ let test_initial_window_respected () =
 
 let test_initial_window_validated () =
   let sim, db = db_fixture () in
-  Alcotest.check_raises "iw < 1" (Invalid_argument "Window_cc: initial_window")
+  Alcotest.check_raises "iw < 1" (Invalid_argument "Flow_soa.create: initial_window >= 1 required")
     (fun () ->
       ignore
         (spawn
@@ -65,10 +65,10 @@ let test_finished_flow_ignores_acks () =
   let tcp =
     spawn ~cfg_of:(fun c -> { c with Cc.Window_cc.total_pkts = Some 5 }) sim db
   in
-  let flow = Cc.Window_cc.flow tcp in
+  let flow = Cc.Flow_soa.flow tcp 0 in
   flow.Cc.Flow.start ();
   Engine.Sim.run ~until:10. sim;
-  Alcotest.(check bool) "finished" true (Cc.Window_cc.finished tcp);
+  Alcotest.(check bool) "finished" true (Cc.Flow_soa.finished tcp 0);
   let sent = flow.Cc.Flow.pkts_sent () in
   Engine.Sim.run ~until:20. sim;
   Alcotest.(check int) "stays quiet" sent (flow.Cc.Flow.pkts_sent ())
@@ -91,9 +91,9 @@ let test_srtt_stable_under_heavy_loss () =
   in
   let db = Netsim.Dumbbell.create ~sim ~rng config in
   let tcp = spawn sim db in
-  (Cc.Window_cc.flow tcp).Cc.Flow.start ();
+  (Cc.Flow_soa.flow tcp 0).Cc.Flow.start ();
   Engine.Sim.run ~until:60. sim;
-  let srtt = Cc.Window_cc.srtt tcp in
+  let srtt = Cc.Flow_soa.srtt tcp 0 in
   Alcotest.(check bool)
     (Printf.sprintf "srtt %.3f under 3x the base RTT" srtt)
     true
@@ -116,12 +116,12 @@ let test_stale_acks_are_not_dupacks () =
   let cfg =
     Cc.Window_cc.default_config (Cc.Window_cc.tcp_compatible_aimd ~b:0.5)
   in
-  let tcp = Cc.Window_cc.create ~sim ~src ~dst ~flow:flow_id cfg in
-  (Cc.Window_cc.flow tcp).Cc.Flow.start ();
+  let tcp = Cc.Flow_soa.create ~sim ~src ~dst ~base:flow_id ~n:1 cfg in
+  (Cc.Flow_soa.flow tcp 0).Cc.Flow.start ();
   (* A clean 50 Mbps path: after 0.3 s snd_una is far beyond seq 1. *)
   Engine.Sim.run ~until:0.3 sim;
-  let cwnd_before = Cc.Window_cc.cwnd tcp in
-  let fast_rtx_before = Cc.Window_cc.fast_retransmits tcp in
+  let cwnd_before = Cc.Flow_soa.cwnd tcp 0 in
+  let fast_rtx_before = Cc.Flow_soa.fast_retransmits tcp 0 in
   for _ = 1 to 3 do
     Netsim.Node.receive src
       (Netsim.Packet.make ~size:40 ~flow:flow_id ~src:(Netsim.Node.id dst)
@@ -130,18 +130,18 @@ let test_stale_acks_are_not_dupacks () =
          ())
   done;
   Alcotest.(check int) "no spurious fast retransmit" fast_rtx_before
-    (Cc.Window_cc.fast_retransmits tcp);
+    (Cc.Flow_soa.fast_retransmits tcp 0);
   Alcotest.(check (float 1e-9)) "cwnd untouched by stale acks" cwnd_before
-    (Cc.Window_cc.cwnd tcp)
+    (Cc.Flow_soa.cwnd tcp 0)
 
 let test_two_flows_share_fairly () =
   let sim, db = db_fixture ~bandwidth:8e6 () in
   let a = spawn sim db and b = spawn sim db in
-  (Cc.Window_cc.flow a).Cc.Flow.start ();
-  Engine.Sim.at sim 0.5 (Cc.Window_cc.flow b).Cc.Flow.start;
+  (Cc.Flow_soa.flow a 0).Cc.Flow.start ();
+  Engine.Sim.at sim 0.5 (Cc.Flow_soa.flow b 0).Cc.Flow.start;
   Engine.Sim.run ~until:60. sim;
-  let da = (Cc.Window_cc.flow a).Cc.Flow.bytes_delivered () in
-  let db_ = (Cc.Window_cc.flow b).Cc.Flow.bytes_delivered () in
+  let da = (Cc.Flow_soa.flow a 0).Cc.Flow.bytes_delivered () in
+  let db_ = (Cc.Flow_soa.flow b 0).Cc.Flow.bytes_delivered () in
   let ratio = da /. Float.max 1. db_ in
   Alcotest.(check bool)
     (Printf.sprintf "share ratio %.2f" ratio)
@@ -185,9 +185,9 @@ let test_karn_rule_on_first_loss () =
   in
   let db = Netsim.Dumbbell.create ~sim ~rng config in
   let tcp = spawn sim db in
-  (Cc.Window_cc.flow tcp).Cc.Flow.start ();
+  (Cc.Flow_soa.flow tcp 0).Cc.Flow.start ();
   Engine.Sim.run ~until:5. sim;
-  let srtt = Cc.Window_cc.srtt tcp in
+  let srtt = Cc.Flow_soa.srtt tcp 0 in
   Alcotest.(check bool)
     (Printf.sprintf "srtt %.3f not inflated by the retransmit" srtt)
     true
