@@ -170,10 +170,7 @@ let write ?cache ?backend ~dir ~experiment ~quick ~params ~emit ~jobs ~wall_s
 (* Naive single-field extraction, enough for tests and CI smoke checks
    without a JSON parser dependency. *)
 let digest_of_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let contents = really_input_string ic len in
-  close_in ic;
+  let contents = Table.read_file path in
   let key = "\"digest\": \"" in
   match String.index_opt contents '{' with
   | None -> None

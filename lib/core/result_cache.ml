@@ -35,34 +35,10 @@ let self_fingerprint =
   in
   fun () -> Lazy.force memo
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* Write-then-rename so a crashed or concurrent writer can never leave a
-   torn entry under the final name.  (A torn entry would be detected by
-   the digest check anyway; this just avoids churn.)  The temp name must
-   be unique per writer: with a fixed [path ^ ".tmp"], two processes
-   sharing a cache dir could interleave open/write/rename and publish a
-   torn file.  [Filename.temp_file] creates the file exclusively. *)
-let write_file_atomic path contents =
-  let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir (Filename.basename path) ".tmp" in
-  let oc = open_out_bin tmp in
-  (try output_string oc contents
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  close_out oc;
-  Sys.rename tmp path
-
 let load_timings dir tbl =
   let path = timings_file dir in
   if Sys.file_exists path then
-    match Json.of_string (read_file path) with
+    match Json.of_string (Table.read_file path) with
     | Ok doc -> (
       match (Json.member "schema" doc, Json.member "wall_s" doc) with
       | Some (Json.String s), Some (Json.Obj fields) when s = timings_schema ->
@@ -167,7 +143,7 @@ let render_entry t ~experiment ~quick tables =
 
 let store t ~key ~experiment ~quick tables =
   let contents = render_entry t ~experiment ~quick tables in
-  write_file_atomic (entry_path t key) contents
+  Table.write_file_atomic (entry_path t key) contents
 
 (* Parse and verify one entry.  Any defect — unreadable file, wrong
    schema, bad table block, digest mismatch — yields [Error]. *)
@@ -235,7 +211,7 @@ let lookup t ~key =
   let verdict =
     if not (Sys.file_exists path) then None
     else
-      match parse_entry (read_file path) with
+      match parse_entry (Table.read_file path) with
       | Ok tables -> Some tables
       | Error _ | (exception Sys_error _) ->
         (* Self-healing: never trust stale bytes; drop the entry and let
@@ -303,7 +279,7 @@ let save_timings t =
         ("schema", Json.String timings_schema); ("wall_s", Json.Obj fields);
       ]
   in
-  write_file_atomic (timings_file t.dir) (Json.to_string doc ^ "\n")
+  Table.write_file_atomic (timings_file t.dir) (Json.to_string doc ^ "\n")
 
 (* ------------------------------------------------------------------ *)
 (* Scopes: job-timing namespaces for one experiment run                *)

@@ -61,6 +61,29 @@ let rec ensure_dir dir =
     (* lost a race with a concurrent creator: fine *)
   end
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* Write-then-rename so a crashed or concurrent writer can never leave a
+   torn file under the final name.  The temp name must be unique per
+   writer: with a fixed [path ^ ".tmp"], two processes sharing a
+   directory could interleave open/write/rename and publish a torn file.
+   [Filename.temp_file] creates the file exclusively. *)
+let write_file_atomic ?temp_dir path contents =
+  let temp_dir = Option.value temp_dir ~default:(Filename.dirname path) in
+  let tmp = Filename.temp_file ~temp_dir (Filename.basename path) ".tmp" in
+  let oc = open_out_bin tmp in
+  (try output_string oc contents
+   with e ->
+     close_out_noerr oc;
+     (try Sys.remove tmp with Sys_error _ -> ());
+     raise e);
+  close_out oc;
+  Sys.rename tmp path
+
 let write_file path contents =
   let oc = open_out path in
   output_string oc contents;

@@ -23,6 +23,15 @@ val print : Format.formatter -> t -> unit
     [Invalid_argument] when a path component exists as a regular file. *)
 val ensure_dir : string -> unit
 
+(** The whole contents of the file at [path]. *)
+val read_file : string -> string
+
+(** [write_file_atomic ?temp_dir path contents] writes [contents] to a
+    fresh temporary file in [temp_dir] (default: [path]'s directory, which
+    must be on the same filesystem) and renames it onto [path], so no
+    reader ever sees a torn file. *)
+val write_file_atomic : ?temp_dir:string -> string -> string -> unit
+
 (** Strict CSV rendering: header line and data rows only (notes are kept
     out of the body — see {!save_csv} and {!Manifest}).  Cells containing
     commas or quotes are quoted. *)

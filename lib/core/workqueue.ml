@@ -21,27 +21,11 @@ let claims_dir t = Filename.concat t.dir "claims"
 let done_dir t = Filename.concat t.dir "done"
 let tmp_dir t = Filename.concat t.dir "tmp"
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Atomic publish: exclusive temp under the queue's own tmp/ then rename.
    Both marker writes (done) and queue.json go through here so no reader
    can observe a torn file. *)
 let write_file_atomic t path contents =
-  let tmp =
-    Filename.temp_file ~temp_dir:(tmp_dir t) (Filename.basename path) ".tmp"
-  in
-  let oc = open_out_bin tmp in
-  (try output_string oc contents
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  close_out oc;
-  Sys.rename tmp path
+  Table.write_file_atomic ~temp_dir:(tmp_dir t) path contents
 
 let list_dir d = try Sys.readdir d with Sys_error _ -> [||]
 
@@ -125,20 +109,6 @@ let job_of_json doc =
     Ok { index; name; est_wall_s }
   | _ -> Error "malformed job record"
 
-(* LPT rank: indices sorted longest-estimate-first; the sort is stable so
-   ties and absent estimates keep submission order — mirroring the domain
-   pool's [lpt_order], which this backend replaces at unit granularity. *)
-let lpt_ranks jobs =
-  let arr = Array.of_list jobs in
-  let cost j =
-    match j.est_wall_s with
-    | Some c when Float.is_finite c -> c
-    | Some _ | None -> 0.
-  in
-  List.stable_sort
-    (fun a b -> Float.compare (cost arr.(b)) (cost arr.(a)))
-    (List.init (Array.length arr) Fun.id)
-
 let seed ~dir ~fingerprint ~quick ~jobs =
   if Sys.file_exists (queue_file dir) then
     raise (Sys_error (dir ^ ": already contains a work queue"));
@@ -157,19 +127,21 @@ let seed ~dir ~fingerprint ~quick ~jobs =
       ]
   in
   write_file_atomic t (queue_file dir) (Json.to_string doc ^ "\n");
+  (* The LPT rank of the domain pool's [lpt_order]: a sorted directory
+     scan is the same schedule, one unit at a time. *)
   let arr = Array.of_list jobs in
-  List.iteri
+  Array.iteri
     (fun rank i ->
       let j = arr.(i) in
       write_file_atomic t
         (Filename.concat (todo_dir t) (base_name ~rank j.name))
         (Json.to_string ~minify:true (job_json j) ^ "\n"))
-    (lpt_ranks jobs);
+    (Engine.Pool.lpt_order (Array.map (fun j -> j.est_wall_s) arr));
   t
 
 let load ~dir =
   let ( let* ) = Result.bind in
-  match read_file (queue_file dir) with
+  match Table.read_file (queue_file dir) with
   | exception Sys_error e -> Error e
   | raw ->
     let* doc = Json.of_string raw in
@@ -229,7 +201,7 @@ let try_claim t ~worker ~now ~lease_s =
       | exception Sys_error _ -> go (i + 1) (* lost the race; next *)
       | () -> (
         match
-          Result.bind (Json.of_string (read_file claim_path)) job_of_json
+          Result.bind (Json.of_string (Table.read_file claim_path)) job_of_json
         with
         | Ok job -> Some { job; base; claim_path }
         | Error _ | (exception Sys_error _) ->
@@ -300,7 +272,7 @@ let failed_units t =
   |> List.sort String.compare
   |> List.filter_map (fun name ->
          let path = Filename.concat (done_dir t) name in
-         match Json.of_string (read_file path) with
+         match Json.of_string (Table.read_file path) with
          | Ok doc -> (
            match (Json.member "ok" doc, Json.member "unit" doc) with
            | Some (Json.Bool false), Some (Json.String u) -> Some u

@@ -26,47 +26,9 @@ let clamp_jobs jobs = min 128 (max 1 jobs)
 
 (* GC policy for simulation domains.  The engine hot path allocates little
    but steadily; a larger minor heap cuts minor-collection frequency (and
-   with it promotion of short-lived event closures).  [SLOWCC_GC] overrides:
-   "off" leaves the runtime defaults, otherwise a comma-separated list of
-   [minor=<words>] and [overhead=<percent>]. *)
-type gc_policy = Gc_off | Gc_set of { minor : int; overhead : int }
-
-let parse_gc_policy () =
-  let default = Gc_set { minor = 1_048_576; overhead = 120 } in
-  match Sys.getenv_opt "SLOWCC_GC" with
-  | None | Some "" -> default
-  | Some s when String.lowercase_ascii s = "off" -> Gc_off
-  | Some s -> (
-    let minor = ref 1_048_576 and overhead = ref 120 and ok = ref true in
-    String.split_on_char ',' s
-    |> List.iter (fun kv ->
-           match String.index_opt kv '=' with
-           | Some i -> (
-             let k = String.sub kv 0 i in
-             let v = String.sub kv (i + 1) (String.length kv - i - 1) in
-             match (k, int_of_string_opt v) with
-             | "minor", Some n when n > 0 -> minor := n
-             | "overhead", Some n when n > 0 -> overhead := n
-             | _ -> ok := false)
-           | None -> ok := false);
-    if !ok then Gc_set { minor = !minor; overhead = !overhead }
-    else begin
-      Printf.eprintf
-        "warning: SLOWCC_GC=%S not understood (want \"off\" or \
-         \"minor=<words>,overhead=<pct>\"); using defaults\n\
-         %!"
-        s;
-      default
-    end)
-
-let gc_policy = lazy (parse_gc_policy ())
-
+   with it promotion of short-lived event closures). *)
 let tune_gc () =
-  match Lazy.force gc_policy with
-  | Gc_off -> ()
-  | Gc_set { minor; overhead } ->
-    let g = Gc.get () in
-    Gc.set { g with Gc.minor_heap_size = minor; space_overhead = overhead }
+  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 1_048_576; space_overhead = 120 }
 
 let rec worker_loop t =
   Mutex.lock t.mutex;

@@ -46,13 +46,10 @@ val default_jobs : unit -> int
 
 (** Apply the engine GC policy to the calling domain: a 1M-word minor
     heap (vs the 256k default) so the steady trickle of event closures
-    triggers fewer minor collections.  Overridden by the [SLOWCC_GC]
-    environment variable: ["off"] keeps the runtime defaults, otherwise a
-    comma-separated list of [minor=<words>] and [overhead=<percent>]
-    (malformed values warn on stderr and fall back to the default
-    policy).  [create] applies it to the submitting domain and every
-    worker applies it on spawn; call it directly for domains the pool
-    does not manage. *)
+    triggers fewer minor collections, and a space overhead of 120.
+    [create] applies it to the submitting domain and every worker
+    applies it on spawn; call it directly for domains the pool does not
+    manage. *)
 val tune_gc : unit -> unit
 
 (** [create ~jobs] makes a pool that will use at most [jobs] (clamped
@@ -82,6 +79,12 @@ val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
     order via a stable sort. *)
 val run_jobs :
   t -> ?cost:('k -> float option) -> ('k * (unit -> 'r)) list -> ('k * 'r) list
+
+(** [lpt_order costs] is the order [run_jobs] executes a batch in: the
+    indices of [costs] sorted longest-first by a stable sort, with
+    [None], NaN and infinite estimates as zero.  The process backend
+    ranks its queue files with it. *)
+val lpt_order : float option array -> int array
 
 (** Signal workers to finish and join them.  Idempotent.  Submitting new
     batches after [shutdown] raises [Invalid_argument]. *)

@@ -258,30 +258,6 @@ let counters t =
       (fun (k, v) -> (t.queue.Queue_intf.name ^ "." ^ k, v))
       (t.queue.Queue_intf.counters ())
 
-(* Register this link's counters and utilization on a metrics registry;
-   call [snapshot] at the end of the run to freeze current values. *)
-let register_metrics t registry ~prefix =
-  let sampled = ref [] in
-  List.iter
-    (fun (k, _) ->
-      let c = Engine.Metrics.counter registry (prefix ^ "." ^ k) in
-      sampled := (c, k) :: !sampled)
-    (counters t);
-  let util = Engine.Metrics.gauge registry (prefix ^ ".utilization") in
-  let t0 = Engine.Sim.now t.sim in
-  fun () ->
-    let current = counters t in
-    List.iter
-      (fun (c, k) ->
-        match List.assoc_opt k current with
-        | Some v ->
-          let delta = v - Engine.Metrics.value c in
-          if delta > 0 then Engine.Metrics.incr ~by:delta c
-        | None -> ())
-      !sampled;
-    Engine.Metrics.set util
-      (utilization t ~elapsed:(Engine.Sim.now t.sim -. t0))
-
 (* Fluid fast-forward credit: account for traffic that the fluid model
    carried across this link while packet-level simulation was frozen.
    Pure counter surgery that preserves both conservation laws checked by

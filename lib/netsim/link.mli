@@ -63,13 +63,6 @@ val utilization : t -> elapsed:float -> float
     the discipline name), e.g. [("arrivals", _); ("red.early_drop", _)]. *)
 val counters : t -> (string * int) list
 
-(** [register_metrics t registry ~prefix] registers every counter of
-    {!counters} plus a [<prefix>.utilization] gauge on [registry] and
-    returns a refresh closure; call it whenever a snapshot is about to be
-    taken (typically once, at the end of the run). *)
-val register_metrics :
-  t -> Engine.Metrics.t -> prefix:string -> unit -> unit
-
 (** Fluid fast-forward credit: fold [delivered]/[dropped] packets and
     [bytes] output bytes carried by the fluid model (while packet-level
     simulation was frozen) into this link's counters, preserving the

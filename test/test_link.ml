@@ -92,16 +92,14 @@ let test_validation () =
 
 let test_counters_and_metrics () =
   (* A 2-packet queue fed 10 back-to-back packets drops the overflow; the
-     link's counters and a Metrics registry snapshot agree. *)
+     link's and the queue discipline's counters agree, and the link was
+     busy for most of the run. *)
   let sim, link = fixture ~bandwidth:8e6 ~delay:0.001 ~capacity:2 () in
   Netsim.Link.connect link ignore;
-  let registry = Engine.Metrics.create () in
-  let refresh = Netsim.Link.register_metrics link registry ~prefix:"btl" in
   for i = 1 to 10 do
     Netsim.Link.send link (mk_pkt i)
   done;
   Engine.Sim.run sim;
-  refresh ();
   let counters = Netsim.Link.counters link in
   let get k = List.assoc k counters in
   Alcotest.(check int) "arrivals" 10 (get "arrivals");
@@ -109,11 +107,7 @@ let test_counters_and_metrics () =
   Alcotest.(check bool) "drops happened" true (get "drops" > 0);
   Alcotest.(check int) "queue discipline counted enqueues"
     (get "departures") (get "droptail.enqueued");
-  Alcotest.(check int) "registry mirrors the link" (get "drops")
-    (Engine.Metrics.value (Engine.Metrics.counter registry "btl.drops"));
-  let util =
-    Engine.Metrics.level (Engine.Metrics.gauge registry "btl.utilization")
-  in
+  let util = Netsim.Link.utilization link ~elapsed:(Engine.Sim.now sim) in
   Alcotest.(check bool)
     (Printf.sprintf "utilization %.2f sane" util)
     true
