@@ -1,8 +1,8 @@
 (** Uniform handle over a running transport flow, regardless of protocol.
 
     Scenario code starts/stops flows and reads counters through this record;
-    each agent module ({!Window_cc}, {!Rap}, {!Tfrc}, {!Tear}, {!Cbr})
-    builds one. *)
+    each agent module ({!Flow_soa}, {!Rap}, {!Tfrc}, {!Tear}, {!Cbr},
+    {!Bbr}, {!Vegas}) builds one. *)
 
 (** Uniform per-flow statistics record every transport exports for the
     observability layer.  Transports without a loss-recovery machinery

@@ -69,8 +69,8 @@ type report = {
   seeds_run : int;
   failures : failure list;
   soa_failures : (int * string) list;
-      (** seeds where {!Manyflow.fuzz_check} found the struct-of-arrays
-          engine diverging from the per-object engine *)
+      (** seeds where {!Manyflow.fuzz_check} found one n-slot window
+          engine diverging from n one-slot engines *)
 }
 
 (** Run seeds [0 .. seeds-1].  Each seed runs both the scenario
