@@ -23,6 +23,23 @@ let verbose_arg =
 let quick_arg =
   Arg.(value & flag & info [ "quick" ] ~doc:"Shrink sweeps and durations.")
 
+(* [conv] narrowed to the values [ok] accepts.  A count or a physical
+   quantity out of range is then a usage error (exit 124), not an
+   uncaught exception or a run that never ends. *)
+let restrict conv ok what =
+  let parse s =
+    Result.bind (Arg.conv_parser conv s) (fun v ->
+        if ok v then Ok v else Error (`Msg (Printf.sprintf "%S is not %s" s what)))
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let pos_int = restrict Arg.int (fun n -> n > 0) "a positive integer"
+
+let pos_float =
+  restrict Arg.float
+    (fun v -> Float.is_finite v && v > 0.)
+    "a finite positive number"
+
 let jobs_arg =
   Arg.(
     value
@@ -54,29 +71,6 @@ let sched_arg =
            structure only.")
 
 let apply_sched = Option.iter Engine.Scheduler.set_default
-
-let ff_conv =
-  let parse s =
-    match Engine.Fastforward.of_string s with
-    | Some m -> Ok m
-    | None -> Error (`Msg (Printf.sprintf "unknown fast-forward mode %S (on|off)" s))
-  in
-  let print fmt m = Format.pp_print_string fmt (Engine.Fastforward.to_string m) in
-  Arg.conv (parse, print)
-
-let ff_arg =
-  Arg.(
-    value
-    & opt (some ff_conv) None
-    & info [ "ff" ] ~docv:"MODE"
-        ~doc:
-          "Hybrid fluid/packet fast-forward: $(b,on) or $(b,off) (default \
-           off, or $(b,SLOWCC_FF)).  When on, transient scenarios freeze \
-           packet-level simulation during detected steady state and advance \
-           flows analytically; results are approximate, so manifests record \
-           the mode and digests are only comparable within a mode.")
-
-let apply_ff = Option.iter Engine.Fastforward.set_default
 
 let out_dir_arg =
   Arg.(
@@ -248,9 +242,6 @@ let with_proc_backend ~quick ~jobs ~workers ~lease_s ~poll_s ~cache ~units
          "--poll-s"; string_of_float poll_s; "--sched";
          Engine.Scheduler.to_string (Engine.Scheduler.get_default ());
        ]
-       @ (match Engine.Fastforward.get_default () with
-         | Engine.Fastforward.On -> [ "--ff"; "on" ]
-         | Engine.Fastforward.Off -> [])
      in
      let spawn () =
        Unix.create_process Sys.executable_name (Array.of_list args) Unix.stdin
@@ -311,10 +302,9 @@ let worker_cmd =
             "Queue directory printed by a '--backend proc' coordinator \
              (lives inside the shared cache directory).")
   in
-  let run verbose jobs sched ff lease_s poll_s queue_dir =
+  let run verbose jobs sched lease_s poll_s queue_dir =
     setup_logs verbose;
     apply_sched sched;
-    apply_ff ff;
     match Slowcc.Workqueue.load ~dir:queue_dir with
     | Error msg ->
       Format.eprintf "cannot open queue %s: %s@." queue_dir msg;
@@ -366,8 +356,8 @@ let worker_cmd =
           when the queue drains; exit code 3 means this binary does not \
           match the one that seeded the queue.")
     Term.(
-      const run $ verbose_arg $ jobs_arg $ sched_arg $ ff_arg $ lease_arg
-      $ poll_arg $ queue_arg)
+      const run $ verbose_arg $ jobs_arg $ sched_arg $ lease_arg $ poll_arg
+      $ queue_arg)
 
 let list_cmd =
   let run () =
@@ -379,11 +369,10 @@ let list_cmd =
 
 (* [run] and [all] share one body: [all] is the registry's id for every
    unit, in figure order. *)
-let run_experiment verbose quick jobs sched ff out_dir emit cache_dir no_cache
+let run_experiment verbose quick jobs sched out_dir emit cache_dir no_cache
     backend workers lease_s poll_s name =
   setup_logs verbose;
   apply_sched sched;
-  apply_ff ff;
   let cache = open_cache ~cache_dir ~no_cache in
   let unknown () =
     Format.eprintf "unknown experiment %s; try 'slowcc_run list'@." name;
@@ -428,8 +417,8 @@ let run_experiment verbose quick jobs sched ff out_dir emit cache_dir no_cache
 let experiment_term verbose experiment =
   Term.(
     const run_experiment $ verbose $ quick_arg $ jobs_arg $ sched_arg
-    $ ff_arg $ out_dir_arg $ emit_arg $ cache_dir_arg $ no_cache_arg
-    $ backend_arg $ workers_arg $ lease_arg $ poll_arg $ experiment)
+    $ out_dir_arg $ emit_arg $ cache_dir_arg $ no_cache_arg $ backend_arg
+    $ workers_arg $ lease_arg $ poll_arg $ experiment)
 
 let run_cmd =
   let name_arg =
@@ -574,19 +563,19 @@ let compete_cmd =
       & info [ "b" ] ~docv:"PROTO" ~doc:"Second protocol group.")
   in
   let n_arg =
-    Arg.(value & opt int 5 & info [ "n" ] ~doc:"Flows per group.")
+    Arg.(value & opt pos_int 5 & info [ "n" ] ~doc:"Flows per group.")
   in
   let bw_arg =
-    Arg.(value & opt float 15e6 & info [ "bandwidth" ] ~doc:"Bottleneck bits/s.")
+    Arg.(
+      value & opt pos_float 15e6 & info [ "bandwidth" ] ~doc:"Bottleneck bits/s.")
   in
   let period_arg =
     Arg.(
-      value & opt float 4.
+      value & opt pos_float 4.
       & info [ "period" ] ~doc:"CBR square-wave period in seconds.")
   in
-  let run verbose ff a b n bandwidth period =
+  let run verbose a b n bandwidth period =
     setup_logs verbose;
-    apply_ff ff;
     let r =
       Slowcc.Scenarios.square_wave
         ~flows:[ (a, n); (b, n) ]
@@ -605,13 +594,12 @@ let compete_cmd =
     (Cmd.info "compete"
        ~doc:"Run two protocol groups against a square-wave CBR and compare")
     Term.(
-      const run $ verbose_arg $ ff_arg $ proto_a $ proto_b $ n_arg $ bw_arg
-      $ period_arg)
+      const run $ verbose_arg $ proto_a $ proto_b $ n_arg $ bw_arg $ period_arg)
 
 let fuzz_cmd =
   let seeds_arg =
     Arg.(
-      value & opt int 100
+      value & opt pos_int 100
       & info [ "seeds" ] ~docv:"N"
           ~doc:"Number of random scenarios (seeds 0..N-1).")
   in
@@ -629,9 +617,8 @@ let fuzz_cmd =
       & info [ "out" ] ~docv:"DIR"
           ~doc:"Write shrunk reproducers of failing scenarios under $(docv).")
   in
-  let run verbose quick jobs ff seeds replay out_dir =
+  let run verbose quick jobs seeds replay out_dir =
     setup_logs verbose;
-    apply_ff ff;
     let with_opt_pool f =
       if jobs > 1 then Engine.Pool.with_pool ~jobs (fun p -> f (Some p))
       else f None
@@ -689,14 +676,14 @@ let fuzz_cmd =
           scheduler, allocation and worker-domain axes under the audit \
           layer; failures are shrunk to minimal replayable reproducers")
     Term.(
-      const run $ verbose_arg $ quick_arg $ jobs_arg $ ff_arg $ seeds_arg
-      $ replay_arg $ out_arg)
+      const run $ verbose_arg $ quick_arg $ jobs_arg $ seeds_arg $ replay_arg
+      $ out_arg)
 
 let manyflow_cmd =
   let n_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some pos_int) None
       & info [ "n"; "flows" ] ~docv:"N"
           ~doc:
             "Flow count.  Without $(b,--check): run a single N.  With \

@@ -466,7 +466,6 @@ let flow t =
           fast_rtx = t.n_fast_rtx;
           stat_srtt = t.srtt;
         });
-    ff = None;
   }
 
 let mode t = mode_name t.mode

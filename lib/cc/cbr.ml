@@ -11,9 +11,6 @@ type t = {
   mutable pkts_sent : int;
   mutable bytes_sent : float;
   mutable bytes_delivered : float;
-  (* --- fluid fast-forward --- *)
-  mutable ff_suspended : bool;
-  mutable ff_was_on : bool;  (* on/off state captured at suspend *)
 }
 
 let interval t = float_of_int (t.pkt_size * 8) /. t.rate
@@ -48,8 +45,6 @@ let create ~sim ~src ~dst ~flow ~rate ~pkt_size =
       pkts_sent = 0;
       bytes_sent = 0.;
       bytes_delivered = 0.;
-      ff_suspended = false;
-      ff_was_on = false;
     }
   in
   t.timer <- Engine.Sim.timer sim (fun () -> send_next t);
@@ -68,47 +63,6 @@ let stop t =
   t.on <- false;
   Engine.Sim.disarm t.timer
 
-(* --- fluid fast-forward ------------------------------------------------ *)
-
-(* A CBR source is the trivial fluid: its analytic rate is its configured
-   rate while on, zero while off.  Suspend captures the on/off state so a
-   thaw restores exactly what the square-wave driver had set. *)
-let ff_suspend t =
-  if not t.ff_suspended then begin
-    t.ff_suspended <- true;
-    t.ff_was_on <- t.on;
-    if t.on then stop t
-  end
-
-let ff_credit t ~sent ~delivered =
-  if t.ff_suspended && sent >= 0 && delivered >= 0 then begin
-    t.seq <- t.seq + sent;
-    t.pkts_sent <- t.pkts_sent + sent;
-    t.bytes_sent <- t.bytes_sent +. float_of_int (sent * t.pkt_size);
-    t.bytes_delivered <-
-      t.bytes_delivered +. float_of_int (delivered * t.pkt_size)
-  end
-
-let ff_rate_pps t ~p:_ =
-  let on = if t.ff_suspended then t.ff_was_on else t.on in
-  if on then t.rate /. float_of_int (t.pkt_size * 8) else 0.
-
-let ff_resume t ~p:_ =
-  if t.ff_suspended then begin
-    t.ff_suspended <- false;
-    if t.ff_was_on then start t
-  end
-
-let ff_ops t =
-  Some
-    {
-      Flow.ff_pkt_size = t.pkt_size;
-      ff_rate_pps = (fun ~p -> ff_rate_pps t ~p);
-      ff_suspend = (fun () -> ff_suspend t);
-      ff_credit = (fun ~sent ~delivered -> ff_credit t ~sent ~delivered);
-      ff_resume = (fun ~p -> ff_resume t ~p);
-    }
-
 let flow t =
   {
     Flow.id = t.flow_id;
@@ -126,7 +80,6 @@ let flow t =
         ~bytes_sent:(fun () -> t.bytes_sent)
         ~bytes_delivered:(fun () -> t.bytes_delivered)
         ~srtt:(fun () -> 0.);
-    ff = ff_ops t;
   }
 
 let set_rate t rate =

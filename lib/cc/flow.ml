@@ -8,21 +8,6 @@ type stats = {
   stat_srtt : float;
 }
 
-(* Hooks a fluid fast-forward controller drives while packet-level
-   simulation is frozen.  Transports that cannot be advanced analytically
-   publish [None] and keep running packet-by-packet. *)
-type ff_ops = {
-  ff_pkt_size : int;
-  ff_rate_pps : p:float -> float;
-      (* analytic steady-state sending rate at loss-event rate [p],
-         packets/s; the transport's own fluid model *)
-  ff_suspend : unit -> unit;  (* freeze the sender (idempotent) *)
-  ff_credit : sent:int -> delivered:int -> unit;
-      (* fold whole packets carried by the fluid model into counters *)
-  ff_resume : p:float -> unit;
-      (* re-seed exact packet state for loss rate [p] and resume *)
-}
-
 type t = {
   id : int;
   protocol : string;
@@ -34,7 +19,6 @@ type t = {
   current_rate : unit -> float;
   srtt : unit -> float;
   stats : unit -> stats;
-  ff : ff_ops option;
 }
 
 (* Default stats for rate-based/open-loop transports: loss-recovery

@@ -18,24 +18,6 @@ type stats = {
   stat_srtt : float;  (** smoothed RTT estimate at sampling time, seconds *)
 }
 
-(** Hooks a fluid fast-forward controller ([Slowcc.Fluid]) drives while
-    packet-level simulation is frozen.  [ff_suspend] freezes the sender
-    (in-flight packets drain, late acks are ignored); [ff_credit] folds
-    whole fluid-model packets into the transport's counters and its
-    receiver's byte count; [ff_resume ~p] re-seeds exact packet-level
-    state (window, sequence/ack frontier) consistent with steady state at
-    loss-event rate [p] and resumes sending.  [ff_rate_pps ~p] is the
-    transport's analytic steady-state rate (AIMD sawtooth average for
-    windowed senders, the TCP response function for TFRC).  Transports
-    without a fluid model publish [None]. *)
-type ff_ops = {
-  ff_pkt_size : int;
-  ff_rate_pps : p:float -> float;
-  ff_suspend : unit -> unit;
-  ff_credit : sent:int -> delivered:int -> unit;
-  ff_resume : p:float -> unit;
-}
-
 type t = {
   id : int;  (** flow identifier, unique per topology *)
   protocol : string;  (** human-readable, e.g. "tcp(1/8)" *)
@@ -47,7 +29,6 @@ type t = {
   current_rate : unit -> float;  (** instantaneous send rate, bytes/s *)
   srtt : unit -> float;  (** smoothed RTT estimate, seconds *)
   stats : unit -> stats;  (** full statistics snapshot *)
-  ff : ff_ops option;  (** fluid fast-forward hooks, if supported *)
 }
 
 (** Build a [stats] thunk from the four basic closures, with the

@@ -17,10 +17,9 @@ let f_partial = 4 (* NewReno "Impatient": first partial ack seen *)
 let f_rttvalid = 8
 let f_ecn = 16 (* sink: CE seen since last ack *)
 let f_finished = 32 (* bounded transfer fully acked *)
-let f_ff = 64 (* frozen by fluid fast-forward *)
-let backoff_shift = 7
+let backoff_shift = 6
 let backoff_mask = 7 lsl backoff_shift
-let dup_shift = 10
+let dup_shift = 9
 let dup_lo_mask = (1 lsl dup_shift) - 1
 
 (* RTO wheel keys pack the simulator seq above the flow index.  Seqs are
@@ -99,11 +98,6 @@ type t = {
   (* --- SACK scoreboard: one slot per flow when cfg.sack, else [||] --- *)
   sacked : IntSet.t array; (* selectively acked seqs above snd_una *)
   hole_rtx : IntSet.t array; (* holes retransmitted this recovery *)
-  (* --- fluid fast-forward: [||] until the first [ff_suspend], then two
-     slots per flow.  [2i]: fluid packets delivered since the suspend.
-     [2i+1]: credited sends minus resume jumps of [high_water], which
-     corrects the derived [pkts_sent]. --- *)
-  mutable ff : int array;
   (* --- consolidated RTO timer wheel ---
      One calendar queue of keyed entries ([wheel_key]: seq and flow
      index in one word) replaces n per-flow [Sim.timer]s.
@@ -687,7 +681,6 @@ let create ~sim ~src ~dst ~base ~n (cfg : Window_cc.config) =
       ooo_more = None;
       sacked = Array.make sack_slots IntSet.empty;
       hole_rtx = Array.make sack_slots IntSet.empty;
-      ff = [||];
       wheel = Cq.create ();
       tracked = 0;
       out_times = Float.Array.make (min 8 n) 0.;
@@ -716,100 +709,12 @@ let stop t i =
   set_flag t i f_running false;
   cancel_rto t i
 
-(* --- fluid fast-forward ------------------------------------------------ *)
-
-(* Freeze the sender.  In-flight data drains to the sink (whose acks the
-   non-running sender ignores and releases); the RTO must not fire while
-   frozen.  Idempotent; a no-op unless the flow is actively running. *)
-let ff_suspend t i =
-  if get_flag t i f_running && not (get_flag t i f_ff) then begin
-    if Array.length t.ff = 0 then t.ff <- Array.make (2 * t.n) 0;
-    set_flag t i f_ff true;
-    set_flag t i f_running false;
-    cancel_rto t i;
-    iset t I.probe_seq i (-1)
-  end
-
-(* Fold fluid-model packets into the counters: [sent] offered to the
-   path, [delivered] of them carried to the sink (no acks are generated:
-   the frozen sender would ignore them).  The seq frontier moves at
-   resume, in one jump. *)
-let ff_credit t i ~sent ~delivered =
-  if get_flag t i f_ff && sent >= 0 && delivered >= 0 then begin
-    t.ff.((2 * i) + 1) <- t.ff.((2 * i) + 1) + sent;
-    t.ff.(2 * i) <- t.ff.(2 * i) + delivered;
-    iset t I.rcv_pkts i (iget t I.rcv_pkts i + delivered)
-  end
-
-(* Analytic steady-state rate at loss-event rate [p], packets/s: the
-   rule's sawtooth average over the flow's measured RTT.  0 until an RTT
-   sample exists (the controller will not credit such a flow). *)
-let ff_rate_pps t i ~p =
-  let srtt = fget t F.srtt i in
-  if get_flag t i f_rttvalid && srtt > 0. then
-    match
-      Window_cc.sawtooth_model ~rule:t.cfg.rule ~max_window:t.cfg.max_window ~p
-    with
-    | Some (pkts_per_rtt, _) -> pkts_per_rtt /. srtt
-    | None -> fget t F.cwnd i /. srtt
-    (* p = 0: keep the current window's rate *)
-  else 0.
-
-(* Thaw: re-seed exact packet-level state consistent with steady state at
-   loss-event rate [p] and resume transmission.  The re-seed contract:
-   the window is set to the sawtooth average (ssthresh to the
-   post-decrease peak, as if a loss event had just ended a cycle); the
-   seq/ack frontier jumps past everything ever transmitted plus the
-   credited fluid packets, and the sink's receive frontier jumps with it
-   (its out-of-order buffer predates the jump and is dropped), so the
-   resumed exchange is hole-free; all loss-recovery machinery is
-   cleared.  The bottleneck queue refills within the first RTT of
-   resumed packet traffic. *)
-let ff_resume t i ~p =
-  if get_flag t i f_ff then begin
-    set_flag t i f_ff false;
-    (match
-       Window_cc.sawtooth_model ~rule:t.cfg.rule ~max_window:t.cfg.max_window
-         ~p
-     with
-    | Some (avg, peak) when get_flag t i f_rttvalid ->
-      fset t F.cwnd i
-        (Float.min t.cfg.max_window (Float.max 1. avg));
-      fset t F.ssthresh i
-        (Float.max 2. (t.cfg.rule.Window_cc.decrease peak))
-    | Some _ | None -> ());
-    let s = max (iget t I.hw i) (iget t I.next_expected i) + t.ff.(2 * i) in
-    t.ff.(2 * i) <- 0;
-    t.ff.((2 * i) + 1) <- t.ff.((2 * i) + 1) - (s - iget t I.hw i);
-    iset t I.una i s;
-    iset t I.nxt i s;
-    iset t I.hw i s;
-    set_dupacks t i 0;
-    set_flag t i f_recovery false;
-    iset t I.recover i (s - 1);
-    set_flag t i f_partial false;
-    clear_sack t i;
-    iset t I.probe_seq i (-1);
-    set_backoff_exp t i 0;
-    iset t I.ecn_guard i (s - 1);
-    iset t I.next_expected i s;
-    clear_ooo t i;
-    if not (get_flag t i f_finished) then begin
-      set_flag t i f_running true;
-      try_send t i
-    end
-  end
-
 (* --- stats ------------------------------------------------------------ *)
 
 (* Derived rather than stored: every transmit either advances high_water
    by exactly one (new data) or bumps n_rtx (retransmission), so the
-   struct-of-arrays layout drops two counters per flow.  Fast-forward
-   moves high_water without transmitting; its correction slot restores
-   the count of packets actually sent or credited. *)
-let pkts_sent t i =
-  let ff = if Array.length t.ff = 0 then 0 else t.ff.((2 * i) + 1) in
-  iget t I.hw i + iget t I.n_rtx i + ff
+   struct-of-arrays layout drops two counters per flow. *)
+let pkts_sent t i = iget t I.hw i + iget t I.n_rtx i
 
 let bytes_sent t i = float_of_int (pkts_sent t i * t.cfg.pkt_size)
 let delivered_pkts t i = iget t I.rcv_pkts i
@@ -840,20 +745,6 @@ let stats t i =
 let wheel_size t = Cq.size t.wheel
 let wheel_tracked t = t.tracked
 
-(* Short transfers have a completion point the fluid model would blow
-   through; only long-lived flows publish fast-forward hooks. *)
-let ff_ops t i =
-  if t.cfg.total_pkts <> None then None
-  else
-    Some
-      {
-        Flow.ff_pkt_size = t.cfg.pkt_size;
-        ff_rate_pps = (fun ~p -> ff_rate_pps t i ~p);
-        ff_suspend = (fun () -> ff_suspend t i);
-        ff_credit = (fun ~sent ~delivered -> ff_credit t i ~sent ~delivered);
-        ff_resume = (fun ~p -> ff_resume t i ~p);
-      }
-
 let flow t i =
   {
     Flow.id = flow_id t i;
@@ -871,5 +762,4 @@ let flow t i =
         else 0.);
     srtt = (fun () -> fget t F.srtt i);
     stats = (fun () -> stats t i);
-    ff = ff_ops t i;
   }

@@ -13,9 +13,7 @@
     Every flow of an engine shares one {!Window_cc.config}: its rule,
     windows, [min_rto], SACK, transfer size and completion callback.
     State that only some configurations use costs the others nothing:
-    the SACK scoreboard exists only when [cfg.sack], and the
-    fast-forward counters only once a fluid controller first freezes a
-    flow.
+    the SACK scoreboard exists only when [cfg.sack].
 
     Per-flow RTO timers are consolidated into a single calendar-queue
     timer wheel for the whole engine, with the same lazy-cancel /
@@ -57,9 +55,7 @@ val start : t -> int -> unit
 val stop : t -> int -> unit
 
 (** Closure view of flow index [i], for code that consumes {!Flow.t}.
-    Unbounded flows publish fluid fast-forward hooks ({!Flow.ff_ops};
-    the re-seed contract is in DESIGN §11).  Allocates; not for
-    per-packet use. *)
+    Allocates; not for per-packet use. *)
 val flow : t -> int -> Flow.t
 
 (** {2 Per-flow observers} (index, not flow id) *)

@@ -167,7 +167,6 @@ let flow t =
         ~bytes_sent:(fun () -> t.bytes_sent)
         ~bytes_delivered:(fun () -> t.bytes_delivered)
         ~srtt:(fun () -> rtt t);
-    ff = None;
   }
 
 let window t = t.w

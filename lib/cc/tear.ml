@@ -282,7 +282,6 @@ let flow t =
         ~bytes_sent:(fun () -> t.bytes_sent)
         ~bytes_delivered:(fun () -> t.bytes_delivered)
         ~srtt:(fun () -> sender_rtt t);
-    ff = None;
   }
 
 let rate_pps t = t.x

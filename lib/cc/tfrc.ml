@@ -194,9 +194,6 @@ type t = {
   mutable nofb_timer : Engine.Sim.timer;
   mutable pkts_sent : int;
   mutable bytes_sent : int;
-  (* --- fluid fast-forward --- *)
-  mutable ff_suspended : bool;
-  mutable ff_delivered : int;  (* fluid pkts credited since suspend *)
 }
 
 let sender_rtt t = if t.rtt_valid then t.srtt else initial_rtt
@@ -334,8 +331,6 @@ let create ~sim ~src ~dst ~flow cfg =
       nofb_timer = Engine.Sim.timer sim ignore;
       pkts_sent = 0;
       bytes_sent = 0;
-      ff_suspended = false;
-      ff_delivered = 0;
     }
   in
   t.send_timer <- Engine.Sim.timer sim (fun () -> send_next t);
@@ -361,71 +356,6 @@ let stop t =
   Engine.Sim.disarm t.nofb_timer;
   Engine.Sim.disarm t.receiver.fb_timer
 
-(* --- fluid fast-forward ------------------------------------------------ *)
-
-(* Freeze: stop the send clock, the no-feedback timer and the receiver's
-   feedback clock.  In-flight data still drains to the receiver (its
-   expedited-feedback path may fire once more; the frozen sender ignores
-   and releases the shells). *)
-let ff_suspend t =
-  if t.running && not t.ff_suspended then begin
-    t.ff_suspended <- true;
-    stop t
-  end
-
-let ff_credit t ~sent ~delivered =
-  if t.ff_suspended && sent >= 0 && delivered >= 0 then begin
-    t.pkts_sent <- t.pkts_sent + sent;
-    t.bytes_sent <- t.bytes_sent + (sent * t.cfg.pkt_size);
-    t.ff_delivered <- t.ff_delivered + delivered;
-    t.receiver.total_bytes <-
-      t.receiver.total_bytes + (delivered * t.cfg.pkt_size)
-  end
-
-(* TFRC's fluid model IS its control law: the TCP response function at
-   the measured loss-event rate (the same [Tfrc_eq.rate_pps] the sender
-   applies to each feedback report). *)
-let ff_rate_pps t ~p =
-  if p > 0. then
-    Float.max min_rate_pps (Tfrc_eq.rate_pps ~p ~rtt:(sender_rtt t))
-  else t.x
-
-(* Thaw: jump the data/receive frontier past the fluid packets (so the
-   first resumed packet is gap-free and mints no phantom loss events),
-   drop the stale receive-rate samples, pin the allowed rate to the
-   equation at [p], and restart all three clocks. *)
-let ff_resume t ~p =
-  if t.ff_suspended then begin
-    t.ff_suspended <- false;
-    t.seq <- t.seq + t.ff_delivered;
-    t.ff_delivered <- 0;
-    t.receiver.next_expected <- max t.receiver.next_expected t.seq;
-    t.seq <- t.receiver.next_expected;
-    Queue.clear t.receiver.arrivals;
-    t.receiver.bytes_since_fb <- 0;
-    t.receiver.new_loss_pending <- false;
-    if p > 0. then begin
-      t.slow_start <- false;
-      t.last_p <- p;
-      t.x <- ff_rate_pps t ~p
-    end;
-    t.running <- true;
-    t.receiver.last_fb_time <- Engine.Sim.now t.sim;
-    send_next t;
-    schedule_feedback t.receiver;
-    restart_nofb t
-  end
-
-let ff_ops t =
-  Some
-    {
-      Flow.ff_pkt_size = t.cfg.pkt_size;
-      ff_rate_pps = (fun ~p -> ff_rate_pps t ~p);
-      ff_suspend = (fun () -> ff_suspend t);
-      ff_credit = (fun ~sent ~delivered -> ff_credit t ~sent ~delivered);
-      ff_resume = (fun ~p -> ff_resume t ~p);
-    }
-
 let flow t =
   let name =
     Printf.sprintf "tfrc(%d)%s" t.cfg.k
@@ -447,7 +377,6 @@ let flow t =
         ~bytes_sent:(fun () -> float_of_int t.bytes_sent)
         ~bytes_delivered:(fun () -> float_of_int t.receiver.total_bytes)
         ~srtt:(fun () -> sender_rtt t);
-    ff = ff_ops t;
   }
 
 let rate_pps t = t.x

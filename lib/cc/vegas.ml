@@ -357,7 +357,6 @@ let flow t =
           fast_rtx = t.n_fast_rtx;
           stat_srtt = t.srtt;
         });
-    ff = None;
   }
 
 let cwnd t = t.cwnd

@@ -35,8 +35,7 @@ val start : t -> unit
 val stop : t -> unit
 
 val flow : t -> Flow.t
-(** Uniform flow handle ([ff = None]: delay-based senders have no fluid
-    fast-forward model yet). *)
+(** Uniform flow handle. *)
 
 (** {2 Introspection (tests, experiments)} *)
 

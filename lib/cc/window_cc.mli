@@ -51,10 +51,3 @@ type config = {
 }
 
 val default_config : rule -> config
-
-(** Steady-state sawtooth of [rule] at loss-event rate [p]: one loss
-    event per [1/p] packets, per-RTT growth of [increase w].  Returns
-    [(average packets per RTT, peak window)], or [None] for [p <= 0] or
-    [p >= 1].  AIMD(1, 1/2) reproduces [sqrt(3/(2p))]. *)
-val sawtooth_model :
-  rule:rule -> max_window:float -> p:float -> (float * float) option

@@ -1186,18 +1186,6 @@ let units name =
 (* Manifested and cached runs                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Hybrid fast-forward produces approximate (fluid-advanced) results, so
-   the mode is part of what was computed: it joins the digested params —
-   and through them the cache key — whenever it is ON.  It is
-   deliberately ABSENT when off, keeping ff-off manifests and cache
-   entries byte-identical with builds that predate the feature. *)
-let with_ff base =
-  match Engine.Fastforward.get_default () with
-  | Engine.Fastforward.Off -> base
-  | Engine.Fastforward.On -> base @ [ ("fastforward", Engine.Json.String "on") ]
-
-let unit_params ~quick e = with_ff (e.params ~quick)
-
 (* The combined id embeds one parameter object per experiment id, so an
    "all" manifest carries the same provenance (and the cache the same key
    material) as the per-experiment manifests put together. *)
@@ -1205,11 +1193,10 @@ let params ?(quick = false) name =
   if String.equal name all_id then
     List.concat_map
       (fun e ->
-        let p = Engine.Json.Obj (unit_params ~quick e) in
+        let p = Engine.Json.Obj (e.params ~quick) in
         List.map (fun id -> (id, p)) (ids e))
       (registry ())
-  else
-    with_ff (match lookup name with Some e -> e.params ~quick | None -> [])
+  else match lookup name with Some e -> e.params ~quick | None -> []
 
 let scope_label ~quick name = if quick then name ^ ":quick" else name
 
@@ -1226,8 +1213,7 @@ let run_unit ~quick ?pool ?cache ?now e =
   | None -> e.run ~quick ~pool
   | Some cache -> (
     let key =
-      Result_cache.key cache ~experiment:e.id ~quick
-        ~params:(unit_params ~quick e)
+      Result_cache.key cache ~experiment:e.id ~quick ~params:(e.params ~quick)
     in
     match Result_cache.lookup cache ~key with
     | Some tables -> tables

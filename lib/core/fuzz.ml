@@ -228,8 +228,8 @@ type built = {
   links : Netsim.Link.t list;
 }
 
-let build ?sched ?(fastforward = Engine.Fastforward.Off) sc =
-  let sim = Engine.Sim.create ?sched ~fastforward () in
+let build ?sched sc =
+  let sim = Engine.Sim.create ?sched () in
   let rng = Engine.Rng.create ~seed:sc.seed in
   let b =
     match sc.topology with
@@ -245,27 +245,6 @@ let build ?sched ?(fastforward = Engine.Fastforward.Off) sc =
       let flows =
         List.map (fun fs -> Protocol.spawn ~reverse:fs.rev fs.proto db) sc.flows
       in
-      (* Hybrid leg only: watch the forward bottleneck, scale the
-         forward flows to it, freeze reverse flows as auxiliaries.  The
-         attach is gated on the sim's mode (no-op for every pure leg)
-         and on full coverage — if any flow lacks analytic ff hooks
-         (RAP, TEAR) it would keep running packet-level through a link
-         the controller believes frozen, so the scenario is left
-         entirely packet-level instead. *)
-      let all_tracked =
-        List.for_all (fun (f : Cc.Flow.t) -> f.Cc.Flow.ff <> None) flows
-      in
-      if all_tracked then begin
-        let fwd, rev =
-          List.partition_map
-            (fun (fs, f) -> if fs.rev then Either.Right f else Either.Left f)
-            (List.combine sc.flows flows)
-        in
-        ignore
-          (Fluid.maybe_attach ~sim
-             ~link:(Netsim.Dumbbell.bottleneck db)
-             ~flows:fwd ~aux:rev ~transients:[] ())
-      end;
       { sim; flows; links = Netsim.Dumbbell.links db }
     | Parking_lot hops ->
       let config =
@@ -364,15 +343,9 @@ let audited_digest sc =
                  but delivered=%d + dropped=%d"
                 i f.Cc.Flow.protocol s.Cc.Flow.sent_pkts received drops.(i))
           b.flows;
-        let delivered =
-          Array.of_list
-            (List.map
-               (fun (f : Cc.Flow.t) -> f.Cc.Flow.bytes_delivered ())
-               b.flows)
-        in
-        (trace, delivered)
+        trace
       with
-      | trace, delivered -> Ok (Digest.to_hex (Digest.string trace), delivered)
+      | trace -> Ok (Digest.to_hex (Digest.string trace))
       | exception Engine.Audit.Violation msg -> Error msg)
 
 let with_pooling enabled f =
@@ -386,65 +359,6 @@ let with_pooling enabled f =
 (* Differential check                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Hybrid fast-forward leg: the same scenario with the fluid controller
-   enabled (dumbbell only — one watched link — and only when every flow
-   carries analytic ff hooks; otherwise [build] attaches nothing and the
-   leg is vacuous).  Fuzz scenarios are transient-free after the
-   staggered starts, so the controller is free to freeze any steady
-   span.  Hybrid results are approximate by design, so unlike the other
-   legs this one is judged by a relative tolerance on per-flow and
-   aggregate delivered bytes — plus exact link conservation, which the
-   fluid credits must preserve to the packet. *)
-let ff_rel_tol = 0.35
-let ff_floor_bytes = 100. *. pkt_size
-
-let ff_leg sc ~base_delivered =
-  match sc.topology with
-  | Parking_lot _ -> None
-  | Dumbbell -> (
-    match
-      Engine.Audit.with_flags ~lifetime:false ~invariants:true (fun () ->
-          match
-            let b = build ~fastforward:Engine.Fastforward.On sc in
-            Engine.Sim.run ~until:sc.duration b.sim;
-            List.iter Netsim.Link.check_conservation b.links;
-            List.map (fun (f : Cc.Flow.t) -> f.Cc.Flow.bytes_delivered ())
-              b.flows
-          with
-          | delivered -> Ok delivered
-          | exception Engine.Audit.Violation msg -> Error msg)
-    with
-    | Error msg ->
-      Some (Printf.sprintf "fastforward leg invariant violation: %s" msg)
-    | Ok delivered ->
-      let total_base = Array.fold_left ( +. ) 0. base_delivered in
-      let total_ff = List.fold_left ( +. ) 0. delivered in
-      let out_of_band what base ff =
-        if base > ff_floor_bytes && Float.abs (ff -. base) > ff_rel_tol *. base
-        then
-          Some
-            (Printf.sprintf
-               "divergence on fastforward: %s delivered %.0f B pure vs %.0f \
-                B hybrid (tol %.0f%%)"
-               what base ff (ff_rel_tol *. 100.))
-        else None
-      in
-      let per_flow =
-        List.fold_left
-          (fun (i, acc) ff ->
-            ( i + 1,
-              match acc with
-              | Some _ -> acc
-              | None ->
-                out_of_band (Printf.sprintf "flow %d" i) base_delivered.(i) ff
-            ))
-          (0, None) delivered
-        |> snd
-      in
-      (match per_flow with
-      | Some _ -> per_flow
-      | None -> out_of_band "aggregate" total_base total_ff))
-
 (* [check ?pool sc] returns [None] when every leg agrees and no invariant
    fires, otherwise a description of the first failure.  Legs:
    1. audited baseline (default scheduler, pooled, invariants+lifetime);
@@ -452,12 +366,11 @@ let ff_leg sc ~base_delivered =
    3. fresh allocation (pooling off);
    4. the same run inside a pool worker domain (when [pool] has > 1
       workers) — exercises the per-domain freelists and shared memo
-      caches the parallel sweeps rely on;
-   5. the hybrid fast-forward leg, tolerance-based (see [ff_leg]). *)
+      caches the parallel sweeps rely on. *)
 let check ?pool sc =
   match audited_digest sc with
   | Error msg -> Some (Printf.sprintf "invariant violation: %s" msg)
-  | Ok (base, base_delivered) ->
+  | Ok base ->
     let differs axis digest =
       if digest <> base then
         Some
@@ -491,9 +404,8 @@ let check ?pool sc =
         differs "jobs=N" digest
       | _ -> None
     in
-    let check_ff () = ff_leg sc ~base_delivered in
     let ( <|> ) a b = match a with Some _ -> a | None -> b () in
-    check_sched () <|> check_fresh <|> check_jobs <|> check_ff
+    check_sched () <|> check_fresh <|> check_jobs
 
 (* ------------------------------------------------------------------ *)
 (* Shrinking                                                           *)

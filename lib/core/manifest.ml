@@ -63,27 +63,16 @@ let save_table ~dir ~emit t =
    byte-identical at any worker count.  Wall-clock and job count live in
    the separate, non-digested "timing" section. *)
 let run_section ~experiment ~quick ~params ~tables =
-  (* Which engine mode produced each table.  Hybrid fast-forward changes
-     result bytes, so when it is ON every table entry records it inside
-     the digested section; when OFF the field is absent — ff-off
-     manifests stay byte-identical with pre-feature builds, which CI
-     asserts. *)
-  let mode_fields =
-    match Engine.Fastforward.get_default () with
-    | Engine.Fastforward.Off -> []
-    | Engine.Fastforward.On -> [ ("fastforward", Json.String "on") ]
-  in
   let table_entry (t : Table.t) =
     Json.Obj
-      ([
-         ("id", Json.String t.Table.id);
-         ("title", Json.String t.Table.title);
-         ("columns", Json.List (List.map (fun c -> Json.String c) t.Table.columns));
-         ("rows", Json.Int (List.length t.Table.rows));
-         ("digest", Json.String (table_digest t));
-         ("notes", Json.List (List.map (fun n -> Json.String n) t.Table.notes));
-       ]
-      @ mode_fields)
+      [
+        ("id", Json.String t.Table.id);
+        ("title", Json.String t.Table.title);
+        ("columns", Json.List (List.map (fun c -> Json.String c) t.Table.columns));
+        ("rows", Json.Int (List.length t.Table.rows));
+        ("digest", Json.String (table_digest t));
+        ("notes", Json.List (List.map (fun n -> Json.String n) t.Table.notes));
+      ]
   in
   Json.Obj
     [

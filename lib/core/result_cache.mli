@@ -11,11 +11,7 @@
     record ({!Experiments.params}).  Scheduler choice and [--jobs] are
     deliberately {e excluded}: the engine produces byte-identical tables
     under either scheduler at any worker count, so keying on them would
-    split the cache without a correctness gain.  Hybrid fast-forward
-    mode, by contrast, {e is} key material — it changes result bytes —
-    and reaches the key through the parameter record, which carries a
-    ["fastforward"] field whenever the mode is on (and no field when
-    off, so ff-off entries keep their pre-feature keys).
+    split the cache without a correctness gain.
 
     {2 Self-healing}
 

@@ -55,7 +55,6 @@ type cbr_restart_result = {
   steady_loss : float;
   stab : Metrics.stabilization option;
   rtt : float;
-  ff : Fluid.t option;
 }
 
 let make_cbr env ~rate =
@@ -70,24 +69,19 @@ let cbr_restart ?(seed = 1) ?(queue = Netsim.Dumbbell.Red) ?(n_flows = 20)
   let rtt = (Netsim.Dumbbell.config env.db).Netsim.Dumbbell.rtt in
   let flows = List.init n_flows (fun _ -> Protocol.spawn protocol env.db) in
   start_staggered env flows;
-  let reverse = add_reverse_traffic env ~n:2 in
+  ignore (add_reverse_traffic env ~n:2);
   let cbr = make_cbr env ~rate:(bandwidth /. 2.) in
   let cbr_flow = Cc.Cbr.flow cbr in
   Engine.Sim.at env.sim 0. cbr_flow.Cc.Flow.start;
   Engine.Sim.at env.sim 150. cbr_flow.Cc.Flow.stop;
   Engine.Sim.at env.sim 180. cbr_flow.Cc.Flow.start;
-  let ff =
-    Fluid.maybe_attach ~sim:env.sim ~link:(Netsim.Dumbbell.bottleneck env.db)
-      ~flows:(cbr_flow :: flows) ~aux:reverse
-      ~transients:[ 0.; 150.; 180. ] ()
-  in
   let loss_series = loss_probe env ~bin:(10. *. rtt) in
   Engine.Sim.run ~until:duration env.sim;
   let steady_loss = Metrics.mean_between loss_series ~lo:50. ~hi:150. in
   let stab =
     Metrics.stabilization ~loss_series ~t_event:180. ~steady_loss ~rtt
   in
-  { loss_series; steady_loss; stab; rtt; ff }
+  { loss_series; steady_loss; stab; rtt }
 
 (* ------------------------------------------------------------------ *)
 (* Flash crowd (Figure 6)                                              *)
@@ -99,7 +93,6 @@ type flash_crowd_result = {
   crowd_started : int;
   crowd_completed : int;
   mean_completion : float;
-  fc_ff : Fluid.t option;
 }
 
 let flash_crowd ?(seed = 1) ?(n_bg = 10) ?(duration = 60.) ~protocol
@@ -107,14 +100,10 @@ let flash_crowd ?(seed = 1) ?(n_bg = 10) ?(duration = 60.) ~protocol
   let env = make_env ~seed ~bandwidth () in
   let flows = List.init n_bg (fun _ -> Protocol.spawn protocol env.db) in
   start_staggered env flows;
-  let reverse = add_reverse_traffic env ~n:2 in
+  ignore (add_reverse_traffic env ~n:2);
   let crowd =
     Cc.Flash_crowd.create ~sim:env.sim ~rng:(Engine.Rng.split env.rng)
       ~dumbbell:env.db ~start:25. Cc.Flash_crowd.default_config
-  in
-  let fc_ff =
-    Fluid.maybe_attach ~sim:env.sim ~link:(Netsim.Dumbbell.bottleneck env.db)
-      ~flows ~aux:reverse ~transients:[ 25. ] ()
   in
   let bg_rate = aggregate_rate_probe env ~bin:0.5 flows in
   let crowd_rate =
@@ -128,7 +117,6 @@ let flash_crowd ?(seed = 1) ?(n_bg = 10) ?(duration = 60.) ~protocol
     crowd_started = Cc.Flash_crowd.flows_started crowd;
     crowd_completed = Cc.Flash_crowd.flows_completed crowd;
     mean_completion = Cc.Flash_crowd.mean_completion_time crowd;
-    fc_ff;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -142,7 +130,6 @@ type square_wave_result = {
   group_mean : string -> float;
   utilization : float;
   drop_rate : float;
-  sw_ff : Fluid.t option;
 }
 
 (* Drive the CBR source through one shape period starting at [t0].  The
@@ -181,32 +168,12 @@ let rec drive_cbr env cbr ~shape ~period ~peak ~t0 ~stop =
     drive_cbr env cbr ~shape ~period ~peak ~t0:(t0 +. period) ~stop
   end
 
-(* Times at which [drive_cbr] touches the CBR source: the fluid
-   controller must be thawed before each of them. *)
-let cbr_edges ~shape ~period ~t0 ~stop =
-  let half = period /. 2. in
-  let rec go t acc =
-    if t >= stop then List.rev acc
-    else
-      let acc =
-        match shape with
-        | Square -> (t +. half) :: t :: acc
-        | Sawtooth | Reverse_sawtooth ->
-          let steps = 8 in
-          let acc = ref ((t +. half) :: acc) in
-          for i = 0 to steps - 1 do
-            acc := (t +. (half *. float_of_int i /. float_of_int steps)) :: !acc
-          done;
-          !acc
-      in
-      go (t +. period) acc
-  in
-  go t0 []
-
 let square_wave ?(seed = 1) ?(shape = Square) ?measure ~flows ~bandwidth
     ~cbr_fraction ~period () =
   if cbr_fraction <= 0. || cbr_fraction >= 1. then
     invalid_arg "square_wave: cbr_fraction in (0,1)";
+  if not (Float.is_finite period && period > 0.) then
+    invalid_arg "square_wave: period must be finite and positive";
   let env = make_env ~seed ~bandwidth () in
   let tagged =
     List.concat_map
@@ -216,7 +183,7 @@ let square_wave ?(seed = 1) ?(shape = Square) ?measure ~flows ~bandwidth
       flows
   in
   start_staggered env (List.map snd tagged);
-  let reverse = add_reverse_traffic env ~n:2 in
+  ignore (add_reverse_traffic env ~n:2);
   let peak = cbr_fraction *. bandwidth in
   let cbr = make_cbr env ~rate:peak in
   let warmup = 20. in
@@ -228,13 +195,6 @@ let square_wave ?(seed = 1) ?(shape = Square) ?measure ~flows ~bandwidth
   let t_end = warmup +. t_measure in
   drive_cbr env cbr ~shape ~period ~peak ~t0:warmup ~stop:t_end;
   let link = Netsim.Dumbbell.bottleneck env.db in
-  let sw_ff =
-    Fluid.maybe_attach ~sim:env.sim ~link
-      ~flows:(Cc.Cbr.flow cbr :: List.map snd tagged)
-      ~aux:reverse
-      ~transients:(cbr_edges ~shape ~period ~t0:warmup ~stop:t_end)
-      ()
-  in
   (* Snapshot at the start of the measurement window. *)
   let snapshots = ref [] and link0 = ref (0., 0, 0) in
   Engine.Sim.at env.sim warmup (fun () ->
@@ -288,7 +248,7 @@ let square_wave ?(seed = 1) ?(shape = Square) ?measure ~flows ~bandwidth
     if arr1 > arr0 then float_of_int (drop1 - drop0) /. float_of_int (arr1 - arr0)
     else 0.
   in
-  { per_flow; group_mean; utilization; drop_rate; sw_ff }
+  { per_flow; group_mean; utilization; drop_rate }
 
 (* ------------------------------------------------------------------ *)
 (* Transient fairness (Figures 10, 12)                                 *)

@@ -4,14 +4,7 @@
     queue capacity 2.5 x BDP and RED thresholds 0.25/1.25 x BDP, with a
     little TCP traffic flowing in the reverse direction so acks share a
     loaded path, as in the paper.  Loss rates are averaged over 10-RTT
-    bins.  Every scenario is deterministic given its [seed].
-
-    When the simulator is created with fast-forward enabled
-    ({!Engine.Sim.fastforward}), the transient scenarios (CBR restart,
-    flash crowd, oscillating bandwidth) attach a {!Fluid} controller to
-    the bottleneck with their scheduled transient times; with it off
-    (the default) nothing is attached and runs are byte-identical to a
-    build without the feature. *)
+    bins.  Every scenario is deterministic given its [seed]. *)
 
 type env = {
   sim : Engine.Sim.t;
@@ -37,7 +30,6 @@ type cbr_restart_result = {
   steady_loss : float;  (** average over the initial CBR-on period *)
   stab : Metrics.stabilization option;  (** measured from the restart *)
   rtt : float;
-  ff : Fluid.t option;  (** fast-forward controller, when enabled *)
 }
 
 (** Twenty long-lived flows of [protocol]; a CBR source using half the
@@ -61,7 +53,6 @@ type flash_crowd_result = {
   crowd_started : int;
   crowd_completed : int;
   mean_completion : float;
-  fc_ff : Fluid.t option;  (** fast-forward controller, when enabled *)
 }
 
 (** Long-lived background flows of [protocol] face a crowd of 10-packet
@@ -84,14 +75,15 @@ type square_wave_result = {
   group_mean : string -> float;  (** mean normalized thr of a protocol *)
   utilization : float;  (** aggregate thr / average available bandwidth *)
   drop_rate : float;  (** bottleneck drops / arrivals over measurement *)
-  sw_ff : Fluid.t option;  (** fast-forward controller, when enabled *)
 }
 
 (** [flows] gives protocol groups and counts, e.g. 5 TCP + 5 TFRC.  An
     ON/OFF CBR with peak rate [cbr_fraction x bandwidth] and equal ON and
     OFF times of [period / 2] modulates the available bandwidth; per-flow
     throughput is normalized by the fair share of the average available
-    bandwidth. *)
+    bandwidth.
+    @raise Invalid_argument unless [0 < cbr_fraction < 1] and [period] is
+    finite and positive. *)
 val square_wave :
   ?seed:int ->
   ?shape:wave_shape ->

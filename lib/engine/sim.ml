@@ -10,17 +10,11 @@ type t = {
          every event (no flambda); floatarray stores do not. *)
   mutable running : bool;
   mutable processed : int;
-  fastforward : Fastforward.mode;
 }
 
-let create ?sched ?fastforward () =
+let create ?sched () =
   let kind =
     match sched with Some k -> k | None -> Scheduler.get_default ()
-  in
-  let ff =
-    match fastforward with
-    | Some m -> m
-    | None -> Fastforward.get_default ()
   in
   let q =
     match kind with
@@ -32,13 +26,10 @@ let create ?sched ?fastforward () =
     clock = Float.Array.make 1 0.;
     running = false;
     processed = 0;
-    fastforward = ff;
   }
 
 let scheduler t =
   match t.q with Q_heap _ -> Scheduler.Heap | Q_cal _ -> Scheduler.Calendar
-
-let fastforward t = t.fastforward
 
 let[@inline] now t = Float.Array.unsafe_get t.clock 0
 let[@inline] set_now t time = Float.Array.unsafe_set t.clock 0 time

@@ -10,20 +10,12 @@
 
 type t
 
-(** [create ?sched ?fastforward ()] makes a fresh simulator.  [sched]
-    defaults to {!Scheduler.get_default} (calendar queue unless
-    overridden); [fastforward] to {!Fastforward.get_default} ([Off]
-    unless overridden).  The simulator itself never fast-forwards — the
-    mode is carried here so scenario builders attach (or skip) a fluid
-    controller exactly like they pick an event queue. *)
-val create : ?sched:Scheduler.kind -> ?fastforward:Fastforward.mode -> unit -> t
+(** [create ?sched ()] makes a fresh simulator.  [sched] defaults to
+    {!Scheduler.get_default} (calendar queue unless overridden). *)
+val create : ?sched:Scheduler.kind -> unit -> t
 
 (** Which event queue this simulator runs on. *)
 val scheduler : t -> Scheduler.kind
-
-(** Whether hybrid fluid/packet fast-forward is enabled for this
-    simulator ({!Fastforward.Off} by default). *)
-val fastforward : t -> Fastforward.mode
 
 (** Current virtual time in seconds. *)
 val now : t -> float

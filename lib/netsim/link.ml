@@ -258,25 +258,6 @@ let counters t =
       (fun (k, v) -> (t.queue.Queue_intf.name ^ "." ^ k, v))
       (t.queue.Queue_intf.counters ())
 
-(* Fluid fast-forward credit: account for traffic that the fluid model
-   carried across this link while packet-level simulation was frozen.
-   Pure counter surgery that preserves both conservation laws checked by
-   [check_conservation]: every credited packet is offered (arrivals) and
-   either dropped or departed-and-delivered in the same instant, so
-   [arrivals = drops + departures + queued + serializing] and
-   [departures - delivered = flight_len] keep holding.  No packets exist
-   and no events are scheduled — with fast-forward off this function is
-   never called and the link is byte-identical to the pure engine. *)
-let ff_credit t ~delivered ~dropped ~bytes =
-  if delivered < 0 || dropped < 0 || bytes < 0 then
-    invalid_arg "Link.ff_credit: negative credit";
-  t.arrivals <- t.arrivals + delivered + dropped;
-  t.drops <- t.drops + dropped;
-  t.departures <- t.departures + delivered;
-  t.delivered <- t.delivered + delivered;
-  t.bytes_out <- t.bytes_out + bytes;
-  if Engine.Audit.invariants_on () then check_conservation t
-
 let on_drop t hook = t.drop_hooks <- hook :: t.drop_hooks
 let on_departure t hook = t.departure_hooks <- hook :: t.departure_hooks
 

@@ -63,13 +63,6 @@ val utilization : t -> elapsed:float -> float
     the discipline name), e.g. [("arrivals", _); ("red.early_drop", _)]. *)
 val counters : t -> (string * int) list
 
-(** Fluid fast-forward credit: fold [delivered]/[dropped] packets and
-    [bytes] output bytes carried by the fluid model (while packet-level
-    simulation was frozen) into this link's counters, preserving the
-    conservation laws of {!check_conservation}.  Creates no packets and
-    schedules no events; never called when fast-forward is off. *)
-val ff_credit : t -> delivered:int -> dropped:int -> bytes:int -> unit
-
 (** Hook invoked for every dropped packet (monitoring / tests). *)
 val on_drop : t -> (Packet.t -> unit) -> unit
 

@@ -79,10 +79,6 @@ let test_names_resolvable_analytic () =
    them: a change to these bytes moves every digest and invalidates every
    cache entry. *)
 let test_params_bytes () =
-  let saved = Engine.Fastforward.get_default () in
-  Engine.Fastforward.set_default Engine.Fastforward.Off;
-  Fun.protect ~finally:(fun () -> Engine.Fastforward.set_default saved)
-  @@ fun () ->
   let md5 quick =
     Digest.to_hex
       (Digest.string

@@ -93,18 +93,11 @@ let test_shrink_keeps_passing_scenario () =
   Alcotest.(check bool) "unchanged" true (sc = sc');
   Alcotest.(check string) "message kept" "original" msg
 
-(* A miniature live campaign.  The baseline leg runs with lifetime and
-   invariant auditing on while the scheduler/allocation legs run with it
-   off, so zero divergences here also proves auditing does not perturb
-   results. *)
-let test_aux_flow_model_gate () =
-  (* Regression (found by the fuzzer, seed 7 of the quick campaign): the
-     hybrid fast-forward leg froze auxiliary (reverse-path) flows at
-     their p=0 analytic rate without passing them through the
-     model-agreement gate, so a reverse TFRC flow still ramping up was
-     frozen at ~1/7th of its real rate and the hybrid leg delivered
-     48 kB where the pure run delivered 332 kB.  With aux slots held to
-     the same per-flow agreement band, every leg agrees again. *)
+let test_reverse_flow_legs_agree () =
+  (* A fixed dumbbell (from seed 7 of the quick campaign) with a reverse TFRC
+     flow still ramping up between two forward window flows: every leg
+     (other scheduler, fresh allocation) must match the audited
+     baseline. *)
   let mk proto rev = { Fuzz.proto; rev; src_site = 0; dst_site = 0 } in
   let sc =
     {
@@ -126,18 +119,28 @@ let test_aux_flow_model_gate () =
   | None -> ()
   | Some msg -> Alcotest.failf "legs diverge: %s" msg
 
+(* A miniature live campaign.  The baseline leg runs with lifetime and
+   invariant auditing on while the scheduler/allocation legs run with it
+   off, so zero divergences here also proves auditing does not perturb
+   results. *)
 let test_small_campaign_clean () =
   Engine.Audit.reset_violations ();
-  let report = Fuzz.run_seeds ~quick:true ~seeds:4 () in
-  Alcotest.(check int) "seeds run" 4 report.Fuzz.seeds_run;
-  (match report.Fuzz.failures with
-  | [] -> ()
-  | f :: _ ->
-    Alcotest.failf "seed %d failed: %s" f.Fuzz.scenario.Fuzz.seed
-      f.Fuzz.first_failure);
-  (match report.Fuzz.soa_failures with
-  | [] -> ()
-  | (seed, msg) :: _ -> Alcotest.failf "seed %d SoA leg failed: %s" seed msg);
+  let campaign ~quick ~seeds =
+    let report = Fuzz.run_seeds ~quick ~seeds () in
+    Alcotest.(check int) "seeds run" seeds report.Fuzz.seeds_run;
+    (match report.Fuzz.failures with
+    | [] -> ()
+    | f :: _ ->
+      Alcotest.failf "seed %d (quick=%b) failed: %s"
+        f.Fuzz.scenario.Fuzz.seed quick f.Fuzz.first_failure);
+    match report.Fuzz.soa_failures with
+    | [] -> ()
+    | (seed, msg) :: _ ->
+      Alcotest.failf "seed %d (quick=%b) SoA leg failed: %s" seed quick msg
+  in
+  campaign ~quick:true ~seeds:4;
+  (* Full-scale scenarios: longer runs with more flows. *)
+  campaign ~quick:false ~seeds:50;
   Alcotest.(check int) "no violations recorded" 0
     (Engine.Audit.violation_count ())
 
@@ -156,7 +159,7 @@ let suite =
       test_repro_file_roundtrip;
     Alcotest.test_case "shrink keeps passing scenario" `Quick
       test_shrink_keeps_passing_scenario;
-    Alcotest.test_case "aux flows pass the model gate" `Quick
-      test_aux_flow_model_gate;
+    Alcotest.test_case "reverse-flow scenario legs agree" `Quick
+      test_reverse_flow_legs_agree;
     Alcotest.test_case "small campaign clean" `Quick test_small_campaign_clean;
   ]

@@ -75,7 +75,6 @@ let test_flow_throughput_validates_interval () =
           ~bytes_sent:(fun () -> 0.)
           ~bytes_delivered:(fun () -> 0.)
           ~srtt:(fun () -> 0.);
-      ff = None;
     }
   in
   Alcotest.check_raises "empty interval"

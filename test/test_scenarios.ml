@@ -53,7 +53,16 @@ let test_square_wave_validation () =
     (Invalid_argument "square_wave: cbr_fraction in (0,1)") (fun () ->
       ignore
         (Slowcc.Scenarios.square_wave ~flows:[ (tcp, 1) ] ~bandwidth:1e6
-           ~cbr_fraction:1.5 ~period:1. ()))
+           ~cbr_fraction:1.5 ~period:1. ()));
+  List.iter
+    (fun period ->
+      Alcotest.check_raises (Printf.sprintf "period %g" period)
+        (Invalid_argument "square_wave: period must be finite and positive")
+        (fun () ->
+          ignore
+            (Slowcc.Scenarios.square_wave ~flows:[ (tcp, 1) ] ~bandwidth:1e6
+               ~cbr_fraction:0.5 ~period ())))
+    [ 0.; Float.nan ]
 
 let test_fair_convergence_returns () =
   let time, converged =
