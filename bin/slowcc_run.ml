@@ -35,6 +35,12 @@ let restrict conv ok what =
 
 let pos_int = restrict Arg.int (fun n -> n > 0) "a positive integer"
 
+(* One engine holds at most [Flow_soa.max_flows] flows. *)
+let flow_count =
+  restrict Arg.int
+    (fun n -> n > 0 && n <= Cc.Flow_soa.max_flows)
+    (Printf.sprintf "an integer in 1..%d" Cc.Flow_soa.max_flows)
+
 let pos_float =
   restrict Arg.float
     (fun v -> Float.is_finite v && v > 0.)
@@ -49,28 +55,6 @@ let jobs_arg =
           "Worker domains for the parameter sweeps (default: this machine's \
            recommended domain count; 1 = serial).  Results are identical \
            for any N.")
-
-let sched_conv =
-  let parse s =
-    match Engine.Scheduler.of_string s with
-    | Some k -> Ok k
-    | None -> Error (`Msg (Printf.sprintf "unknown scheduler %S (heap|calendar)" s))
-  in
-  let print fmt k = Format.pp_print_string fmt (Engine.Scheduler.to_string k) in
-  Arg.conv (parse, print)
-
-let sched_arg =
-  Arg.(
-    value
-    & opt (some sched_conv) None
-    & info [ "sched" ] ~docv:"S"
-        ~doc:
-          "Event-queue implementation: $(b,heap) or $(b,calendar) (default \
-           calendar, or $(b,SLOWCC_SCHED)).  Simulation results are \
-           byte-identical under either; this selects the engine data \
-           structure only.")
-
-let apply_sched = Option.iter Engine.Scheduler.set_default
 
 let out_dir_arg =
   Arg.(
@@ -114,9 +98,9 @@ let cache_dir_arg =
           "Content-addressed result cache: re-running an experiment with \
            the same binary, id, --quick flag and parameters replays the \
            stored (digest-verified) tables instead of re-simulating.  \
-           Scheduler and --jobs are not part of the key — results are \
-           byte-identical either way.  The directory also persists per-job \
-           timings that order parallel sweeps longest-first.")
+           --jobs is not part of the key — results are byte-identical at \
+           any N.  The directory also persists per-job timings that order \
+           parallel sweeps longest-first.")
 
 let no_cache_arg =
   Arg.(
@@ -233,14 +217,11 @@ let with_proc_backend ~quick ~jobs ~workers ~lease_s ~poll_s ~cache ~units
      (* Split this machine's domain budget across the worker processes;
         each worker still parallelizes within a unit on its own pool. *)
      let worker_jobs = max 1 (jobs / max 1 workers) in
-     (* Workers inherit the coordinator's engine configuration, which is
-        what the manifest's timing section records. *)
      let args =
        [
          Sys.executable_name; "worker"; qdir; "--jobs";
          string_of_int worker_jobs; "--lease-s"; string_of_float lease_s;
-         "--poll-s"; string_of_float poll_s; "--sched";
-         Engine.Scheduler.to_string (Engine.Scheduler.get_default ());
+         "--poll-s"; string_of_float poll_s;
        ]
      in
      let spawn () =
@@ -302,9 +283,8 @@ let worker_cmd =
             "Queue directory printed by a '--backend proc' coordinator \
              (lives inside the shared cache directory).")
   in
-  let run verbose jobs sched lease_s poll_s queue_dir =
+  let run verbose jobs lease_s poll_s queue_dir =
     setup_logs verbose;
-    apply_sched sched;
     match Slowcc.Workqueue.load ~dir:queue_dir with
     | Error msg ->
       Format.eprintf "cannot open queue %s: %s@." queue_dir msg;
@@ -356,8 +336,7 @@ let worker_cmd =
           when the queue drains; exit code 3 means this binary does not \
           match the one that seeded the queue.")
     Term.(
-      const run $ verbose_arg $ jobs_arg $ sched_arg $ lease_arg $ poll_arg
-      $ queue_arg)
+      const run $ verbose_arg $ jobs_arg $ lease_arg $ poll_arg $ queue_arg)
 
 let list_cmd =
   let run () =
@@ -369,10 +348,9 @@ let list_cmd =
 
 (* [run] and [all] share one body: [all] is the registry's id for every
    unit, in figure order. *)
-let run_experiment verbose quick jobs sched out_dir emit cache_dir no_cache
-    backend workers lease_s poll_s name =
+let run_experiment verbose quick jobs out_dir emit cache_dir no_cache backend
+    workers lease_s poll_s name =
   setup_logs verbose;
-  apply_sched sched;
   let cache = open_cache ~cache_dir ~no_cache in
   let unknown () =
     Format.eprintf "unknown experiment %s; try 'slowcc_run list'@." name;
@@ -416,9 +394,9 @@ let run_experiment verbose quick jobs sched out_dir emit cache_dir no_cache
 
 let experiment_term verbose experiment =
   Term.(
-    const run_experiment $ verbose $ quick_arg $ jobs_arg $ sched_arg
-    $ out_dir_arg $ emit_arg $ cache_dir_arg $ no_cache_arg $ backend_arg
-    $ workers_arg $ lease_arg $ poll_arg $ experiment)
+    const run_experiment $ verbose $ quick_arg $ jobs_arg $ out_dir_arg
+    $ emit_arg $ cache_dir_arg $ no_cache_arg $ backend_arg $ workers_arg
+    $ lease_arg $ poll_arg $ experiment)
 
 let run_cmd =
   let name_arg =
@@ -673,8 +651,8 @@ let fuzz_cmd =
     (Cmd.info "fuzz"
        ~doc:
          "Differential fuzzing: random scenarios cross-checked across \
-          scheduler, allocation and worker-domain axes under the audit \
-          layer; failures are shrunk to minimal replayable reproducers")
+          allocation and worker-domain axes under the audit layer; \
+          failures are shrunk to minimal replayable reproducers")
     Term.(
       const run $ verbose_arg $ quick_arg $ jobs_arg $ seeds_arg $ replay_arg
       $ out_arg)
@@ -683,7 +661,7 @@ let manyflow_cmd =
   let n_arg =
     Arg.(
       value
-      & opt (some pos_int) None
+      & opt (some flow_count) None
       & info [ "n"; "flows" ] ~docv:"N"
           ~doc:
             "Flow count.  Without $(b,--check): run a single N.  With \
@@ -713,9 +691,8 @@ let manyflow_cmd =
           (100. *. frac))
       r.Slowcc.Manyflow.hist
   in
-  let run verbose quick sched n check =
+  let run verbose quick n check =
     setup_logs verbose;
-    apply_sched sched;
     match (check, n) with
     | true, n ->
       let n = Option.value n ~default:64 in
@@ -748,7 +725,7 @@ let manyflow_cmd =
          "Many-flow weak-convergence distributions on the struct-of-arrays \
           engine: a single N, or the n-slot vs one-slot differential check \
           (the sweep is 'slowcc_run run manyflow')")
-    Term.(const run $ verbose_arg $ quick_arg $ sched_arg $ n_arg $ check_arg)
+    Term.(const run $ verbose_arg $ quick_arg $ n_arg $ check_arg)
 
 let main =
   Cmd.group

@@ -235,10 +235,10 @@ let[@inline] out_min_time t = Float.Array.get t.out_times (t.out_n - 1)
 let[@inline] out_min_seq t = t.out_seqs.(t.out_n - 1)
 
 (* Insert flow [i]'s wheel entry at [time], burning the simulator seq a
-   per-flow timer's [q_add] would have burned here.  A freshly allocated
-   seq exceeds every outstanding one, so the entry is the new minimum
-   (and needs a physical [service] entry) iff its time is strictly
-   earlier than the outstanding minimum's. *)
+   per-flow timer's queue insert would have burned here.  A freshly
+   allocated seq exceeds every outstanding one, so the entry is the new
+   minimum (and needs a physical [service] entry) iff its time is
+   strictly earlier than the outstanding minimum's. *)
 let wheel_insert t i time =
   let seq = Engine.Sim.alloc_seq t.sim in
   Cq.add_key t.wheel ~time ~key:(wheel_key ~seq i);

@@ -31,12 +31,16 @@
 
 type t
 
+(** The most flows one engine holds: 2^20.  The RTO wheel packs a flow
+    index into 20 bits of each entry's key. *)
+val max_flows : int
+
 (** [create ~sim ~src ~dst ~base ~n cfg] attaches [n] sender/sink pairs
     for flow ids [base .. base+n-1] between [src] and [dst] (data flows
     [src] → [dst]).  Reserves dense dispatch slots on both nodes.  The
     flows do not transmit until {!start}.
-    @raise Invalid_argument unless [1 <= n <= 2^20], [base >= 0] and
-    [cfg.initial_window >= 1]. *)
+    @raise Invalid_argument unless [1 <= n <= max_flows], [base >= 0]
+    and [cfg.initial_window >= 1]. *)
 val create :
   sim:Engine.Sim.t ->
   src:Netsim.Node.t ->

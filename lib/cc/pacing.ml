@@ -13,8 +13,7 @@
    (an ack handler would otherwise recurse into the send path mid-event);
    it arms the timer for *now*, so the emission runs as its own scheduler
    event with a stable allocation order.  All arithmetic is plain float
-   work on simulated time, so traces are byte-identical across heap and
-   calendar schedulers. *)
+   work on simulated time, so traces are byte-identical run to run. *)
 
 let burst = 1. (* max accumulated tokens *)
 

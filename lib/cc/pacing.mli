@@ -9,8 +9,7 @@
 
     Emissions always run as their own scheduler event ({!kick} never
     invokes [emit] on the caller's stack), so send ordering is
-    deterministic and byte-identical across heap and calendar
-    schedulers. *)
+    deterministic. *)
 
 type t
 

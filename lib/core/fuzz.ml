@@ -228,8 +228,8 @@ type built = {
   links : Netsim.Link.t list;
 }
 
-let build ?sched sc =
-  let sim = Engine.Sim.create ?sched () in
+let build sc =
+  let sim = Engine.Sim.create () in
   let rng = Engine.Rng.create ~seed:sc.seed in
   let b =
     match sc.topology with
@@ -306,13 +306,12 @@ let trace_of sc b =
     (Engine.Sim.now b.sim);
   Buffer.contents buf
 
-let digest_of ?sched sc =
-  Digest.to_hex (Digest.string (trace_of sc (build ?sched sc)))
+let digest_of sc = Digest.to_hex (Digest.string (trace_of sc (build sc)))
 
-(* Baseline leg: default scheduler, pooled shells, full auditing, plus
-   end-of-run sweeps — per-link conservation and a per-flow data-packet
-   balance (every data packet sent is delivered, dropped, or still in the
-   network; a negative residue means a packet was double-counted). *)
+(* Baseline leg: pooled shells, full auditing, plus end-of-run sweeps —
+   per-link conservation and a per-flow data-packet balance (every data
+   packet sent is delivered, dropped, or still in the network; a negative
+   residue means a packet was double-counted). *)
 let pkt_size = 1000.
 
 let audited_digest sc =
@@ -361,10 +360,9 @@ let with_pooling enabled f =
 
 (* [check ?pool sc] returns [None] when every leg agrees and no invariant
    fires, otherwise a description of the first failure.  Legs:
-   1. audited baseline (default scheduler, pooled, invariants+lifetime);
-   2. the other scheduler;
-   3. fresh allocation (pooling off);
-   4. the same run inside a pool worker domain (when [pool] has > 1
+   1. audited baseline (pooled, invariants+lifetime);
+   2. fresh allocation (pooling off);
+   3. the same run inside a pool worker domain (when [pool] has > 1
       workers) — exercises the per-domain freelists and shared memo
       caches the parallel sweeps rely on. *)
 let check ?pool sc =
@@ -378,17 +376,6 @@ let check ?pool sc =
              "divergence on %s: baseline digest %s, %s digest %s" axis base
              axis digest)
       else None
-    in
-    let other_sched =
-      match Engine.Scheduler.get_default () with
-      | Engine.Scheduler.Heap -> Engine.Scheduler.Calendar
-      | Engine.Scheduler.Calendar -> Engine.Scheduler.Heap
-    in
-    let check_sched () =
-      differs
-        (Printf.sprintf "scheduler=%s"
-           (Engine.Scheduler.to_string other_sched))
-        (digest_of ~sched:other_sched sc)
     in
     let check_fresh () =
       differs "allocation=fresh" (with_pooling false (fun () -> digest_of sc))
@@ -405,7 +392,7 @@ let check ?pool sc =
       | _ -> None
     in
     let ( <|> ) a b = match a with Some _ -> a | None -> b () in
-    check_sched () <|> check_fresh <|> check_jobs
+    check_fresh () <|> check_jobs
 
 (* ------------------------------------------------------------------ *)
 (* Shrinking                                                           *)

@@ -91,7 +91,7 @@ let render ?cache ?backend ~experiment ~quick ~params ~emit ~jobs ~wall_s
   let run = run_section ~experiment ~quick ~params ~tables in
   let run_str = Json.to_string run in
   let digest = Digest.to_hex (Digest.string run_str) in
-  (* Like sched: which pool backend executed the sweep (domains vs
+  (* Like jobs: which pool backend executed the sweep (domains vs
      processes) is engine configuration — both produce identical bytes —
      so it is recorded for provenance in the timing section only.  Absent
      (the historical default) unless a caller names one, keeping old
@@ -101,7 +101,7 @@ let render ?cache ?backend ~experiment ~quick ~params ~emit ~jobs ~wall_s
     | None -> []
     | Some b -> [ ("backend", Json.String b) ]
   in
-  (* Like sched/jobs, the cache record is engine configuration: hits vs
+  (* Like jobs, the cache record is engine configuration: hits vs
      misses change wall time only — a verified hit reproduces the same
      table bytes a fresh simulation would — so it stays out of the
      digested run section. *)
@@ -130,13 +130,6 @@ let render ?cache ?backend ~experiment ~quick ~params ~emit ~jobs ~wall_s
             ([
                ("wall_s", Json.Float wall_s);
                ("jobs", Json.Int jobs);
-               (* Engine configuration, not experiment identity: results are
-                  byte-identical under either scheduler, so it stays out of
-                  the digested run section. *)
-               ( "sched",
-                 Json.String
-                   (Engine.Scheduler.to_string (Engine.Scheduler.get_default ()))
-               );
                ("emit", Json.String (emit_to_string emit));
              ]
             @ backend_fields @ cache_fields) );

@@ -41,8 +41,8 @@ let config p =
   Cc.Window_cc.default_config
     (Cc.Window_cc.tcp_compatible_aimd ~b:(1. /. p.gamma))
 
-let topology ?sched p =
-  let sim = Engine.Sim.create ?sched () in
+let topology p =
+  let sim = Engine.Sim.create () in
   let rng = Engine.Rng.create ~seed:p.seed in
   let config =
     {
@@ -79,14 +79,14 @@ type built_soa = {
   eng : Cc.Flow_soa.t;
 }
 
-let build_soa ?sched p =
-  let sim, db, src, dst = topology ?sched p in
+let build_soa p =
+  let sim, db, src, dst = topology p in
   let eng = Cc.Flow_soa.create ~sim ~src ~dst ~base:0 ~n:p.n (config p) in
   schedule_starts sim p (fun i -> Cc.Flow_soa.start eng i);
   { sim; db; eng }
 
-let build_object ?sched p =
-  let sim, db, src, dst = topology ?sched p in
+let build_object p =
+  let sim, db, src, dst = topology p in
   let cfg = config p in
   let flows =
     Array.init p.n (fun i ->
@@ -126,25 +126,25 @@ let end_state_trace ~sim ~links flows =
   Printf.bprintf buf "now=%.17g\n" (Engine.Sim.now sim);
   Buffer.contents buf
 
-let digest_soa ?sched p =
-  let b = build_soa ?sched p in
+let digest_soa p =
+  let b = build_soa p in
   Engine.Sim.run ~until:p.duration b.sim;
   let flows = Array.init p.n (fun i -> Cc.Flow_soa.flow b.eng i) in
   Digest.to_hex
     (Digest.string
        (end_state_trace ~sim:b.sim ~links:(Netsim.Dumbbell.links b.db) flows))
 
-let digest_object ?sched p =
-  let sim, db, flows = build_object ?sched p in
+let digest_object p =
+  let sim, db, flows = build_object p in
   Engine.Sim.run ~until:p.duration sim;
   Digest.to_hex
     (Digest.string (end_state_trace ~sim ~links:(Netsim.Dumbbell.links db) flows))
 
 (* [None] when the n-slot engine reproduces n one-slot engines
    byte-for-byte, [Some msg] otherwise. *)
-let check_equiv ?sched p =
-  let soa = digest_soa ?sched p in
-  let obj = digest_object ?sched p in
+let check_equiv p =
+  let soa = digest_soa p in
+  let obj = digest_object p in
   if String.equal soa obj then None
   else
     Some
@@ -218,8 +218,8 @@ type result = {
 
 let reservoir_k = 256
 
-let run ?sched p =
-  let b = build_soa ?sched p in
+let run p =
+  let b = build_soa p in
   Engine.Sim.run ~until:p.warmup b.sim;
   let before = Array.init p.n (fun i -> Cc.Flow_soa.delivered_pkts b.eng i) in
   Engine.Sim.run ~until:p.duration b.sim;

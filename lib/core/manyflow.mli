@@ -36,14 +36,12 @@ type built_soa = {
 }
 
 (** Build (not run) one n-slot engine with starts scheduled. *)
-val build_soa : ?sched:Engine.Scheduler.kind -> params -> built_soa
+val build_soa : params -> built_soa
 
 (** Per-flow twin: same topology, same start schedule, one one-slot
     engine per flow. *)
 val build_object :
-  ?sched:Engine.Scheduler.kind ->
-  params ->
-  Engine.Sim.t * Netsim.Dumbbell.t * Cc.Flow.t array
+  params -> Engine.Sim.t * Netsim.Dumbbell.t * Cc.Flow.t array
 
 (** {2 Differential: n-slot vs one-slot engines} *)
 
@@ -53,12 +51,12 @@ val end_state_trace :
   sim:Engine.Sim.t -> links:Netsim.Link.t list -> Cc.Flow.t array -> string
 
 (** Uid-free, event-count-free end-state digest of a full run. *)
-val digest_soa : ?sched:Engine.Scheduler.kind -> params -> string
+val digest_soa : params -> string
 
-val digest_object : ?sched:Engine.Scheduler.kind -> params -> string
+val digest_object : params -> string
 
 (** [None] when both builds end byte-identical, [Some msg] otherwise. *)
-val check_equiv : ?sched:Engine.Scheduler.kind -> params -> string option
+val check_equiv : params -> string option
 
 (** Randomized small instance derived from [seed]. *)
 val fuzz_params : quick:bool -> int -> params
@@ -88,4 +86,4 @@ val bucket_label : int -> string
 
 (** Run one N: build, warm up, measure delivered throughput per flow over
     the measurement window, reduce to distributional stats. *)
-val run : ?sched:Engine.Scheduler.kind -> params -> result
+val run : params -> result

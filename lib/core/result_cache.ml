@@ -77,10 +77,10 @@ let misses t = locked t (fun () -> t.misses)
 
 (* The key pins everything that determines the tables' bytes: the code
    (via the executable fingerprint), the experiment, the quick flag and
-   the experiment's parameter record.  Scheduler choice and --jobs are
-   deliberately absent — the engine guarantees byte-identical results
-   under either scheduler at any worker count, so including them would
-   only split the cache for no correctness gain. *)
+   the experiment's parameter record.  --jobs and the backend are
+   deliberately absent — the engine guarantees byte-identical results at
+   any worker count, so including them would only split the cache for no
+   correctness gain. *)
 let key t ~experiment ~quick ~params =
   let doc =
     Json.Obj

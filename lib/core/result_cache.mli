@@ -8,10 +8,10 @@
     determines the result bytes: the {e code fingerprint} (a digest of
     the running executable — any rebuild invalidates every entry), the
     experiment name, the [quick] flag and the experiment's parameter
-    record ({!Experiments.params}).  Scheduler choice and [--jobs] are
+    record ({!Experiments.params}).  [--jobs] and the backend are
     deliberately {e excluded}: the engine produces byte-identical tables
-    under either scheduler at any worker count, so keying on them would
-    split the cache without a correctness gain.
+    at any worker count, so keying on them would split the cache without
+    a correctness gain.
 
     {2 Self-healing}
 

@@ -2,19 +2,18 @@
 
    Events live in pooled nodes held in parallel arrays ([times]/[keys]/
    [vals]/[nexts]) and linked into per-bucket sorted lists by index, so
-   steady-state add/take touches no allocator at all — the same
-   zero-allocation discipline as [Event_heap].  Each bucket covers a
-   [width]-second window of the virtual clock; bucket [n land mask] holds
-   events with [floor (time / width) = n].  Dequeue scans one calendar
-   "year" (every bucket once) from the cursor; if nothing lies inside its
-   own window the minimum is found by direct search, exactly as ns-2's
-   scheduler does for sparse horizons.
+   steady-state add/take touches no allocator at all.  Each bucket covers
+   a [width]-second window of the virtual clock; bucket [n land mask]
+   holds events with [floor (time / width) = n].  Dequeue scans one
+   calendar "year" (every bucket once) from the cursor; if nothing lies
+   inside its own window the minimum is found by direct search, exactly
+   as ns-2's scheduler does for sparse horizons.
 
    Ordering is lexicographic on (time, key).  For [add]ed values the key
-   is the global insertion counter, so ordering is identical to
-   [Event_heap]: FIFO within equal timestamps.  Equal times always hash
-   to the same bucket, and bucket lists are kept sorted by (time, key),
-   which makes the tie-break exact rather than approximate.
+   is the queue's insertion counter, so values added at equal timestamps
+   pop first in, first out.  Equal times always hash to the same bucket,
+   and bucket lists are kept sorted by (time, key), which makes the
+   tie-break exact rather than approximate.
 
    Keyed entries ([add_key]) carry no value: the key is the whole
    payload.  [vals] stays [[||]] until the first insert that carries a
@@ -227,9 +226,8 @@ let alloc_seq t =
   t.next_seq <- seq + 1;
   seq
 
-(* Unlike [Event_heap.add_with_seq], no [seq < next_seq] guard: a seq
-   may come from another queue's counter, so this queue's own counter
-   need never have reached it. *)
+(* No [seq < next_seq] guard: a seq may come from another queue's
+   counter, so this queue's own counter need never have reached it. *)
 let add_with_seq t ~time ~seq value =
   if not (Float.is_finite time) || time < 0. then
     invalid_arg

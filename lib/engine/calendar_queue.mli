@@ -1,10 +1,11 @@
 (** ns-2-style calendar queue: amortized O(1) timed-event scheduling.
 
-    A bucketed timer ring with automatic resize of bucket count and width,
-    matching {!Event_heap}'s API and ordering contract exactly: events pop
-    in lexicographic (time, insertion-order) order, so FIFO within equal
-    timestamps.  Steady-state add/take allocates nothing — nodes live in
-    pooled parallel arrays and are linked into buckets by index.
+    A bucketed timer ring with automatic resize of bucket count and width.
+    Events pop in lexicographic (time, key) order.  An entry added with
+    {!add} takes the queue's insertion counter as its key, so values added
+    at equal timestamps pop first in, first out.  Steady-state add/take
+    allocates nothing — nodes live in pooled parallel arrays and are
+    linked into buckets by index.
 
     Every entry has an integer key that breaks time ties: [add] uses the
     insertion counter, [add_with_seq] an explicit seq, and {!add_key}
@@ -21,13 +22,14 @@ val add : 'a t -> time:float -> 'a -> unit
 
 (** {2 Explicit sequence numbers}
 
-    Same contract as {!Event_heap.alloc_seq}/{!Event_heap.add_with_seq}:
-    burn a tie-break counter value without inserting, then insert at an
-    explicitly chosen seq.  Used by the consolidated RTO wheel to place
-    its single simulator entry at the exact logical position a per-flow
-    insertion would have had.  The caller must preserve pop-order: never
-    insert a (time, seq) pair sorting before an already dequeued event.
-    The seq is the entry's key ({!min_key}). *)
+    [alloc_seq] burns one value of the insertion counter without
+    inserting.  [add_with_seq ~time ~seq] later inserts an entry whose key
+    ({!min_key}) is [seq], so it pops exactly where [add ~time] would
+    have, had it been called when [seq] was burned.  The SoA RTO wheel
+    uses this to put its single simulator entry at the logical position a
+    per-flow insertion would have had.  The caller must preserve pop
+    order: never insert a (time, seq) pair that sorts before an already
+    dequeued event. *)
 
 (** Advance the insertion counter by one and return the burned value. *)
 val alloc_seq : 'a t -> int

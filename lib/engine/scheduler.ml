@@ -1,31 +1,10 @@
-type kind = Heap | Calendar
+type kind = Calendar
 
-let to_string = function Heap -> "heap" | Calendar -> "calendar"
+let to_string Calendar = "calendar"
 
 let of_string s =
   match String.lowercase_ascii s with
-  | "heap" -> Some Heap
   | "calendar" | "cal" -> Some Calendar
   | _ -> None
 
-(* Calendar is the default now that the equivalence suite
-   (test_calendar_queue) pins identical pop order against Event_heap. *)
-let builtin_default = Calendar
-
-let default =
-  let init =
-    match Sys.getenv_opt "SLOWCC_SCHED" with
-    | None -> builtin_default
-    | Some s -> (
-        match of_string s with
-        | Some k -> k
-        | None ->
-            Printf.eprintf
-              "slowcc: ignoring invalid SLOWCC_SCHED=%S (want heap|calendar)\n%!"
-              s;
-            builtin_default)
-  in
-  Atomic.make init
-
-let get_default () = Atomic.get default
-let set_default k = Atomic.set default k
+let get_default () = Calendar

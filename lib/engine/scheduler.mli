@@ -1,21 +1,14 @@
-(** Event-queue selection for {!Sim}.
+(** The simulator has one event queue, {!Calendar_queue}.  Outside its
+    test, only [benchmark/slowcc_bench.ml] reads this module: it stamps
+    the queue in its [--out] file, and its environment guard accepts only
+    a value that [of_string] maps to [Calendar].  The module goes with
+    those two lines. *)
 
-    Both implementations expose the same ordering contract (pop in
-    (time, insertion-order) order), so simulations are byte-identical
-    under either; the calendar queue is amortized O(1) and wins on the
-    dense timer workloads the experiments generate, the heap has no
-    resize pauses and wins on tiny or wildly non-uniform queues. *)
-
-type kind = Heap | Calendar
+type kind = Calendar
 
 val to_string : kind -> string
 
-(** Case-insensitive; accepts ["heap"], ["calendar"], ["cal"]. *)
+(** [Some Calendar] for calendar or cal (case-insensitive); [None]
+    otherwise. *)
 val of_string : string -> kind option
-
-(** Process-wide default used by [Sim.create] when [?sched] is omitted.
-    Initialized to [Calendar], overridable with the [SLOWCC_SCHED]
-    environment variable (["heap"] or ["calendar"]). *)
 val get_default : unit -> kind
-
-val set_default : kind -> unit

@@ -1,9 +1,5 @@
-type queue =
-  | Q_heap of (unit -> unit) Event_heap.t
-  | Q_cal of (unit -> unit) Calendar_queue.t
-
 type t = {
-  q : queue;
+  q : (unit -> unit) Calendar_queue.t;
   clock : floatarray;
       (* cell 0: virtual now.  A floatarray cell instead of a [mutable
          now : float] field — stores into a mixed record box the float on
@@ -12,70 +8,34 @@ type t = {
   mutable processed : int;
 }
 
-let create ?sched () =
-  let kind =
-    match sched with Some k -> k | None -> Scheduler.get_default ()
-  in
-  let q =
-    match kind with
-    | Scheduler.Heap -> Q_heap (Event_heap.create ())
-    | Scheduler.Calendar -> Q_cal (Calendar_queue.create ())
-  in
+let create () =
   {
-    q;
+    q = Calendar_queue.create ();
     clock = Float.Array.make 1 0.;
     running = false;
     processed = 0;
   }
 
-let scheduler t =
-  match t.q with Q_heap _ -> Scheduler.Heap | Q_cal _ -> Scheduler.Calendar
-
 let[@inline] now t = Float.Array.unsafe_get t.clock 0
 let[@inline] set_now t time = Float.Array.unsafe_set t.clock 0 time
-
-let[@inline] q_add t ~time f =
-  match t.q with
-  | Q_heap h -> Event_heap.add h ~time f
-  | Q_cal c -> Calendar_queue.add c ~time f
-
-let[@inline] q_is_empty t =
-  match t.q with
-  | Q_heap h -> Event_heap.is_empty h
-  | Q_cal c -> Calendar_queue.is_empty c
-
-let[@inline] q_min_time t =
-  match t.q with
-  | Q_heap h -> Event_heap.min_time h
-  | Q_cal c -> Calendar_queue.min_time c
-
-let[@inline] q_take t =
-  match t.q with
-  | Q_heap h -> Event_heap.take h
-  | Q_cal c -> Calendar_queue.take c
 
 let at t time f =
   if time < now t then
     invalid_arg
       (Printf.sprintf "Sim.at: time %g is in the past (now %g)" time (now t));
-  q_add t ~time f
+  Calendar_queue.add t.q ~time f
 
 (* Explicit-seq scheduling, for aggregating schedulers (the SoA RTO
    wheel): burn a tie-break seq now, insert the one physical entry at
-   that logical position later.  See Event_heap/Calendar_queue. *)
-let alloc_seq t =
-  match t.q with
-  | Q_heap h -> Event_heap.alloc_seq h
-  | Q_cal c -> Calendar_queue.alloc_seq c
+   that logical position later.  See Calendar_queue. *)
+let alloc_seq t = Calendar_queue.alloc_seq t.q
 
 let at_seq t time ~seq f =
   if time < now t then
     invalid_arg
       (Printf.sprintf "Sim.at_seq: time %g is in the past (now %g)" time
          (now t));
-  match t.q with
-  | Q_heap h -> Event_heap.add_with_seq h ~time ~seq f
-  | Q_cal c -> Calendar_queue.add_with_seq c ~time ~seq f
+  Calendar_queue.add_with_seq t.q ~time ~seq f
 
 let[@inline] after t delay f = at t (now t +. delay) f
 
@@ -127,7 +87,7 @@ let timer t f =
             (* Re-armed later since this entry was queued: chase the live
                deadline with a fresh entry. *)
             Float.Array.unsafe_set tm.queued 0 d;
-            q_add t ~time:d tm.fire
+            Calendar_queue.add t.q ~time:d tm.fire
           end
         end
       end);
@@ -143,7 +103,7 @@ let arm_at tm time =
   tm.armed <- true;
   if Float.Array.unsafe_get tm.queued 0 > time then begin
     Float.Array.unsafe_set tm.queued 0 time;
-    q_add t ~time tm.fire
+    Calendar_queue.add t.q ~time tm.fire
   end
 
 let[@inline] arm_after tm delay = arm_at tm (now tm.tsim +. delay)
@@ -181,7 +141,7 @@ let every ?(stop = Float.infinity) t ~interval f =
           bump (!k + 1)
         end
       in
-      if next <= stop then q_add t ~time:next tick
+      if next <= stop then Calendar_queue.add t.q ~time:next tick
     end
   in
   let first = base +. interval in
@@ -195,9 +155,9 @@ let run ?(until = Float.infinity) t =
      no [Some]/tuple allocation per event. *)
   let rec loop () =
     if t.running then begin
-      if q_is_empty t then t.running <- false
+      if Calendar_queue.is_empty t.q then t.running <- false
       else begin
-        let time = q_min_time t in
+        let time = Calendar_queue.min_time t.q in
         if time > until then begin
           (* Leave the event in the queue so the simulation can resume
              from this clock later; park the clock at the horizon. *)
@@ -210,7 +170,7 @@ let run ?(until = Float.infinity) t =
               "Sim.run: event queue returned time %.17g behind the clock \
                %.17g (non-monotone schedule)"
               time (now t);
-          let f = q_take t in
+          let f = Calendar_queue.take t.q in
           set_now t time;
           t.processed <- t.processed + 1;
           f ();
@@ -220,7 +180,7 @@ let run ?(until = Float.infinity) t =
     end
   in
   loop ();
-  if q_is_empty t && now t < until && Float.is_finite until then
+  if Calendar_queue.is_empty t.q && now t < until && Float.is_finite until then
     set_now t until
 
 let events_processed t = t.processed

@@ -4,18 +4,14 @@
     simulated components schedule closures through it; [run] drains events
     in time order until the queue is empty or a stop condition fires.
 
-    The event queue is either a binary heap or an ns-2-style calendar
-    queue ({!Scheduler.kind}); both pop in (time, insertion-order) order,
-    so every simulation is byte-identical under either. *)
+    The event queue is an ns-2-style calendar queue
+    ({!Calendar_queue}): events pop in (time, insertion-order) order, so
+    equal-time events run first in, first out. *)
 
 type t
 
-(** [create ?sched ()] makes a fresh simulator.  [sched] defaults to
-    {!Scheduler.get_default} (calendar queue unless overridden). *)
-val create : ?sched:Scheduler.kind -> unit -> t
-
-(** Which event queue this simulator runs on. *)
-val scheduler : t -> Scheduler.kind
+(** [create ()] makes a fresh simulator at time 0 with an empty queue. *)
+val create : unit -> t
 
 (** Current virtual time in seconds. *)
 val now : t -> float

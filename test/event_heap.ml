@@ -21,7 +21,8 @@ type 'a t = {
   mutable next_seq : int;
   staging : floatarray;  (* unboxed hand-off slot for [add] *)
   (* Last (time, seq) handed out by [take]; only read/written under
-     [Audit.invariants_on] to assert (time, insertion-order) pop order. *)
+     [Engine.Audit.invariants_on] to assert (time, insertion-order) pop
+     order. *)
   mutable last_pop_time : float;
   mutable last_pop_seq : int;
 }
@@ -168,14 +169,14 @@ let remove_top t =
 
 let take t =
   if t.len = 0 then invalid_arg "Event_heap.take: empty heap";
-  if Audit.invariants_on () then begin
+  if Engine.Audit.invariants_on () then begin
     let time = Array.unsafe_get t.times 0
     and seq = Array.unsafe_get t.seqs 0 in
     if
       time < t.last_pop_time
       || (time = t.last_pop_time && seq < t.last_pop_seq)
     then
-      Audit.fail
+      Engine.Audit.fail
         "Event_heap.take: popped (t=%.17g, seq=%d) after (t=%.17g, seq=%d) \
          — FIFO order at equal timestamps broken"
         time seq t.last_pop_time t.last_pop_seq;

@@ -1,6 +1,6 @@
 (* The window engine: one n-slot engine against n one-slot engines
-   (both schedulers, collision-heavy parameters, SACK and bounded
-   transfers), and RTO wheel semantics. *)
+   (collision-heavy parameters, SACK and bounded transfers), and RTO
+   wheel semantics. *)
 
 module Mf = Slowcc.Manyflow
 
@@ -16,10 +16,7 @@ let check_none what = function
    This is the regression input that caught a wheel that preserved
    firing times but not same-instant FIFO positions. *)
 let test_equiv_dyadic_collisions () =
-  check_none "calendar" (Mf.check_equiv ~sched:Engine.Scheduler.Calendar (small 64))
-
-let test_equiv_heap_sched () =
-  check_none "heap" (Mf.check_equiv ~sched:Engine.Scheduler.Heap (small 64))
+  check_none "calendar" (Mf.check_equiv (small 64))
 
 let test_equiv_across_queue_kinds () =
   List.iter
@@ -37,15 +34,6 @@ let test_equiv_fuzz_seeds () =
         (Printf.sprintf "fuzz seed %d" seed)
         (Mf.fuzz_check ~quick:true seed))
     [ 1; 2; 3; 4; 5 ]
-
-(* Both schedulers must agree on the n-slot engine itself, not just each
-   scheduler's n-slot engine against its own one-slot twins. *)
-let test_soa_digest_sched_independent () =
-  let p = small 32 in
-  Alcotest.(check string)
-    "calendar = heap"
-    (Mf.digest_soa ~sched:Engine.Scheduler.Calendar p)
-    (Mf.digest_soa ~sched:Engine.Scheduler.Heap p)
 
 (* [Manyflow] builds only the default configuration.  SACK and bounded
    transfers get the same n-slot vs one-slot comparison here, on a
@@ -193,12 +181,9 @@ let suite =
   [
     Alcotest.test_case "equiv at n=64 (dyadic collisions, calendar)" `Quick
       test_equiv_dyadic_collisions;
-    Alcotest.test_case "equiv at n=64 (heap)" `Quick test_equiv_heap_sched;
     Alcotest.test_case "equiv across queue kinds" `Quick
       test_equiv_across_queue_kinds;
     Alcotest.test_case "equiv on fuzz seeds" `Quick test_equiv_fuzz_seeds;
-    Alcotest.test_case "SoA digest scheduler-independent" `Quick
-      test_soa_digest_sched_independent;
     Alcotest.test_case "equiv with SACK and bounded transfers" `Quick
       test_equiv_sack_and_bounded;
     Alcotest.test_case "stop freezes senders" `Quick test_stop_freezes_senders;

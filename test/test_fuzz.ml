@@ -95,9 +95,8 @@ let test_shrink_keeps_passing_scenario () =
 
 let test_reverse_flow_legs_agree () =
   (* A fixed dumbbell (from seed 7 of the quick campaign) with a reverse TFRC
-     flow still ramping up between two forward window flows: every leg
-     (other scheduler, fresh allocation) must match the audited
-     baseline. *)
+     flow still ramping up between two forward window flows: the fresh
+     allocation leg must match the audited baseline. *)
   let mk proto rev = { Fuzz.proto; rev; src_site = 0; dst_site = 0 } in
   let sc =
     {
@@ -120,8 +119,8 @@ let test_reverse_flow_legs_agree () =
   | Some msg -> Alcotest.failf "legs diverge: %s" msg
 
 (* A miniature live campaign.  The baseline leg runs with lifetime and
-   invariant auditing on while the scheduler/allocation legs run with it
-   off, so zero divergences here also proves auditing does not perturb
+   invariant auditing on while the allocation leg runs with it off, so
+   zero divergences here also proves auditing does not perturb
    results. *)
 let test_small_campaign_clean () =
   Engine.Audit.reset_violations ();

@@ -2,15 +2,15 @@
 
 let test_heap_stress () =
   (* A million mixed operations stay fast and ordered. *)
-  let h = Engine.Event_heap.create () in
+  let h = Event_heap.create () in
   let rng = Engine.Rng.create ~seed:99 in
   for i = 1 to 500_000 do
-    Engine.Event_heap.add h ~time:(Engine.Rng.float rng) i
+    Event_heap.add h ~time:(Engine.Rng.float rng) i
   done;
   let last = ref neg_infinity in
   let ok = ref true in
   let rec drain () =
-    match Engine.Event_heap.pop h with
+    match Event_heap.pop h with
     | None -> ()
     | Some (t, _) ->
       if t < !last then ok := false;

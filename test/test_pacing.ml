@@ -1,6 +1,6 @@
 (* The token-bucket pacer: emission spacing, idle/kick, live rate
-   changes, scheduler identity, and the progress guarantee that fixed the
-   sub-float-resolution re-arm loop. *)
+   changes, a pinned emission trace, and the progress guarantee that
+   fixed the sub-float-resolution re-arm loop. *)
 
 type fixture = {
   sim : Engine.Sim.t;
@@ -9,8 +9,8 @@ type fixture = {
   limit : int ref;  (** emit declines once this many packets went out *)
 }
 
-let mk ?(sched = Engine.Scheduler.Heap) ?(limit = max_int) () =
-  let sim = Engine.Sim.create ~sched () in
+let mk ?(limit = max_int) () =
+  let sim = Engine.Sim.create () in
   let times = ref [] in
   let limit = ref limit in
   let count = ref 0 in
@@ -94,8 +94,8 @@ let test_stop_silences () =
   Alcotest.(check bool) "no sends after stop" true
     (Cc.Pacing.sends f.pacer <= 26)
 
-let run_trace sched =
-  let f = mk ~sched () in
+let run_trace () =
+  let f = mk () in
   Cc.Pacing.set_rate_pps f.pacer 237.;
   Cc.Pacing.start f.pacer;
   Engine.Sim.at f.sim 0.3 (fun () -> Cc.Pacing.set_rate_pps f.pacer 41.);
@@ -104,16 +104,18 @@ let run_trace sched =
   List.rev !(f.times)
 
 let test_scheduler_identity () =
-  (* Same emission instants, bit for bit, under both event queues —
-     disarm/re-arm across calendar bucket boundaries included (the rate
-     changes re-derive a pending wake-up in place). *)
-  let heap = run_trace Engine.Scheduler.Heap in
-  let calendar = run_trace Engine.Scheduler.Calendar in
-  Alcotest.(check int) "same emission count" (List.length heap)
-    (List.length calendar);
-  List.iter2
-    (fun a b -> Alcotest.(check (float 0.)) "identical instant" a b)
-    heap calendar
+  (* The emission instants, bit for bit, recorded when [Sim] could still
+     run on a binary heap; the heap and the calendar queue both produced
+     them.  Disarm/re-arm across calendar bucket boundaries included (the
+     rate changes re-derive a pending wake-up in place). *)
+  let instants = run_trace () in
+  Alcotest.(check int) "emission count" 242 (List.length instants);
+  let text =
+    String.concat "" (List.map (fun t -> Printf.sprintf "%h\n" t) instants)
+  in
+  Alcotest.(check string)
+    "emission instants digest" "d56af10e9bfa6514e0ba1e7923520cd6"
+    (Digest.to_hex (Digest.string text))
 
 let test_progress_at_float_resolution () =
   (* Regression: with tokens fractionally below 1, the wake-up delay
