@@ -19,8 +19,7 @@ let send_next t =
   if t.on && t.rate > 0. then begin
     let pkt =
       Netsim.Packet.make ~size:t.pkt_size ~seq:t.seq ~flow:t.flow_id
-        ~src:(Netsim.Node.id t.src) ~dst:(Netsim.Node.id t.dst)
-        ~sent_at:(Engine.Sim.now t.sim) ()
+        ~src:(Netsim.Node.id t.src) ~dst:(Netsim.Node.id t.dst) ()
     in
     t.seq <- t.seq + 1;
     t.pkts_sent <- t.pkts_sent + 1;

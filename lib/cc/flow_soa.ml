@@ -33,11 +33,15 @@ let[@inline] wheel_key ~seq i = (seq lsl flow_bits) lor i
 let[@inline] key_seq key = key lsr flow_bits
 let[@inline] key_flow key = key land flow_mask
 
-(* Per-flow state lives in two arrays, field-major: slot [k] of flow
+(* Per-flow state lives in two blocks, field-major: slot [k] of flow
    [i] is at [k * n + i], so each field is contiguous across flows (as
-   separate arrays would be) while an engine pays for two array headers
+   separate arrays would be) while an engine pays for two headers
    instead of 21.  That matters for one-slot engines, one per figure
-   flow. *)
+   flow.  Float slots are a [floatarray]; int slots are 32-bit cells of
+   one [Bytes], half what an [int array] cell takes.  Every int slot
+   holds a sequence number, a counter, the packed [misc] bits or a small
+   sentinel, so 32 bits cover 2^31 packets per flow; a store that does
+   not fit raises instead of wrapping. *)
 
 (* Float slots. *)
 module F = struct
@@ -84,6 +88,15 @@ module I = struct
   let count = 13
 end
 
+(* Native-endian 32-bit loads and stores, bounds-checked.  Declared as
+   primitives so no [int32] is ever boxed: [Int32.to_int (get32 b o)]
+   compiles to one sign-extending load. *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
+
+let slot_min = Int32.to_int Int32.min_int
+let slot_max = Int32.to_int Int32.max_int
+
 type t = {
   sim : Engine.Sim.t;
   cfg : Window_cc.config;
@@ -93,7 +106,7 @@ type t = {
   base : int; (* first flow id; flow id of index i is base + i *)
   n : int;
   floats : floatarray; (* F slots *)
-  ints : int array; (* I slots *)
+  ints : Bytes.t; (* I slots, 4 bytes each *)
   mutable ooo_more : (int, IntSet.t) Hashtbl.t option; (* see [I.ooo1] *)
   (* --- SACK scoreboard: one slot per flow when cfg.sack, else [||] --- *)
   sacked : IntSet.t array; (* selectively acked seqs above snd_una *)
@@ -130,8 +143,15 @@ type t = {
 let n t = t.n
 let[@inline] fget t k i = Float.Array.get t.floats ((k * t.n) + i)
 let[@inline] fset t k i v = Float.Array.set t.floats ((k * t.n) + i) v
-let[@inline] iget t k i = t.ints.((k * t.n) + i)
-let[@inline] iset t k i v = t.ints.((k * t.n) + i) <- v
+let[@inline] iget t k i = Int32.to_int (get32 t.ints (4 * ((k * t.n) + i)))
+
+let slot_overflow v =
+  invalid_arg (Printf.sprintf "Flow_soa: %d does not fit a 32-bit slot" v)
+
+let[@inline] iset t k i v =
+  if v < slot_min || v > slot_max then slot_overflow v;
+  set32 t.ints (4 * ((k * t.n) + i)) (Int32.of_int v)
+
 let[@inline] flow_id t i = t.base + i
 let[@inline] get_flag t i bit = iget t I.misc i land bit <> 0
 
@@ -177,8 +197,7 @@ let[@inline] current_rto t i =
 let transmit t i ~seq =
   let pkt =
     Netsim.Packet.make ~size:t.cfg.Window_cc.pkt_size ~seq ~flow:(flow_id t i)
-      ~src:(Netsim.Node.id t.src) ~dst:(Netsim.Node.id t.dst)
-      ~sent_at:(Engine.Sim.now t.sim) ()
+      ~src:(Netsim.Node.id t.src) ~dst:(Netsim.Node.id t.dst) ()
   in
   if seq < iget t I.hw i then begin
     iset t I.n_rtx i (iget t I.n_rtx i + 1);
@@ -588,7 +607,6 @@ let send_ack t i =
   let ack =
     Netsim.Packet.alloc_ack ~size:Sink.ack_size ~flow:(flow_id t i)
       ~src:(Netsim.Node.id t.dst) ~dst:(Netsim.Node.id t.src)
-      ~sent_at:(Engine.Sim.now t.sim)
       ~cum_seq:(iget t I.next_expected i)
       ~sack:(if t.cfg.Window_cc.sack then sack_blocks t i else [])
   in
@@ -662,10 +680,11 @@ let create ~sim ~src ~dst ~base ~n (cfg : Window_cc.config) =
   Float.Array.fill floats (F.ssthresh * n) n ssthresh0;
   Float.Array.fill floats (F.deadline * n) n Float.infinity;
   Float.Array.fill floats (F.slot * n) n Float.infinity;
-  let ints = Array.make (I.count * n) 0 in
-  Array.fill ints (I.recover * n) n (-1);
-  Array.fill ints (I.probe_seq * n) n (-1);
-  Array.fill ints (I.ooo1 * n) n (-1);
+  let ints = Bytes.make (4 * I.count * n) '\000' in
+  (* -1 is all ones in every byte. *)
+  List.iter
+    (fun k -> Bytes.fill ints (4 * k * n) (4 * n) '\255')
+    [ I.recover; I.probe_seq; I.ooo1 ];
   let sack_slots = if cfg.sack then n else 0 in
   let t =
     {
@@ -690,13 +709,8 @@ let create ~sim ~src ~dst ~base ~n (cfg : Window_cc.config) =
     }
   in
   t.service_fn <- (fun () -> service t);
-  Netsim.Node.reserve src ~flows:(base + n);
-  Netsim.Node.reserve dst ~flows:(base + n);
-  let acks pkt = handle_ack t pkt and data pkt = handle_data t pkt in
-  for i = 0 to n - 1 do
-    Netsim.Node.attach src ~flow:(base + i) acks;
-    Netsim.Node.attach dst ~flow:(base + i) data
-  done;
+  Netsim.Node.attach src ~count:n ~flow:base (fun pkt -> handle_ack t pkt);
+  Netsim.Node.attach dst ~count:n ~flow:base (fun pkt -> handle_data t pkt);
   t
 
 let start t i =

@@ -4,8 +4,9 @@
     One value holds the state of [n] flows between a shared source and
     destination node, laid out struct-of-arrays: every per-flow mutable
     field is a run of [n] unboxed slots, indexed by dense flow index, in
-    one [floatarray] or one [int array], so 10⁵+ flows fit in flat memory
-    with no per-flow closures, timer objects or hash entries.  A single
+    one [floatarray] (8 B slots) or one [Bytes] of 32-bit int slots, so
+    10⁵+ flows fit in 116 B each of flat memory with no per-flow
+    closures, timer objects, hash entries or dispatch entries.  A single
     figure flow is a one-slot engine ([~n:1]); the many-flow ensembles
     are one n-slot engine.  Both run this code, so a change to the
     sender lands once.
@@ -32,15 +33,21 @@
 type t
 
 (** The most flows one engine holds: 2^20.  The RTO wheel packs a flow
-    index into 20 bits of each entry's key. *)
+    index into 20 bits of each entry's key.
+
+    Each flow's sequence numbers and counters live in 32-bit slots, so
+    one flow sends fewer than 2^31 packets (about 2 TB at 1000-byte
+    packets).  A value past that raises [Invalid_argument] from the
+    event that produced it instead of wrapping. *)
 val max_flows : int
 
 (** [create ~sim ~src ~dst ~base ~n cfg] attaches [n] sender/sink pairs
     for flow ids [base .. base+n-1] between [src] and [dst] (data flows
-    [src] → [dst]).  Reserves dense dispatch slots on both nodes.  The
-    flows do not transmit until {!start}.
+    [src] → [dst]), as one {!Netsim.Node.attach} range on each node.
+    The flows do not transmit until {!start}.
     @raise Invalid_argument unless [1 <= n <= max_flows], [base >= 0]
-    and [cfg.initial_window >= 1]. *)
+    and [cfg.initial_window >= 1], or if the id range partly overlaps
+    one already attached on either node. *)
 val create :
   sim:Engine.Sim.t ->
   src:Netsim.Node.t ->

@@ -40,8 +40,7 @@ let send_next t =
   if t.running then begin
     let pkt =
       Netsim.Packet.make ~size:t.cfg.pkt_size ~seq:t.seq ~flow:t.flow_id
-        ~src:(Netsim.Node.id t.src) ~dst:(Netsim.Node.id t.dst)
-        ~sent_at:(Engine.Sim.now t.sim) ()
+        ~src:(Netsim.Node.id t.src) ~dst:(Netsim.Node.id t.dst) ()
     in
     Hashtbl.replace t.outstanding t.seq (Engine.Sim.now t.sim);
     t.seq <- t.seq + 1;
@@ -104,7 +103,6 @@ let attach_receiver t =
       let ack =
         Netsim.Packet.make ~size:40 ~flow:t.flow_id
           ~src:(Netsim.Node.id t.dst) ~dst:(Netsim.Node.id t.src)
-          ~sent_at:pkt.Netsim.Packet.sent_at
           ~payload:
             (Netsim.Packet.Rap_ack
                { cum_seq = pkt.Netsim.Packet.seq; recv_rate = 0. })

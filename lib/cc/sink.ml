@@ -18,7 +18,6 @@ let send_ack t =
   let ack =
     Netsim.Packet.alloc_ack ~size:ack_size ~flow:t.flow
       ~src:(Netsim.Node.id t.node) ~dst:t.peer
-      ~sent_at:(Engine.Sim.now t.sim)
       ~cum_seq:t.next_expected ~sack:[]
   in
   ack.Netsim.Packet.ecn <- t.last_ecn;

@@ -64,7 +64,7 @@ let report_rate r =
   in
   Netsim.Node.inject r.r_node
     (Netsim.Packet.make ~size:40 ~flow:r.r_flow ~src:(Netsim.Node.id r.r_node)
-       ~dst:r.r_peer ~sent_at:now ~payload:fb ())
+       ~dst:r.r_peer ~payload:fb ())
 
 let close_round r =
   r.rounds <- r.cwnd :: r.rounds;
@@ -163,7 +163,6 @@ let send_next t =
     let pkt =
       Netsim.Packet.make ~size:t.cfg.pkt_size ~seq:t.seq ~flow:t.flow_id
         ~src:(Netsim.Node.id t.src) ~dst:(Netsim.Node.id t.dst)
-        ~sent_at:(Engine.Sim.now t.sim)
         ~payload:
           (Netsim.Packet.Tfrc_data
              {

@@ -116,7 +116,7 @@ let send_feedback r =
   in
   let pkt =
     Netsim.Packet.alloc_tfrc_fb ~size:40 ~flow:r.r_flow
-      ~src:(Netsim.Node.id r.r_node) ~dst:r.r_peer ~sent_at:now
+      ~src:(Netsim.Node.id r.r_node) ~dst:r.r_peer
       {
         Netsim.Packet.loss_event_rate = p;
         recv_rate = r.recv_rate_estimate;
@@ -203,7 +203,6 @@ let send_next t =
     let pkt =
       Netsim.Packet.make ~size:t.cfg.pkt_size ~seq:t.seq ~flow:t.flow_id
         ~src:(Netsim.Node.id t.src) ~dst:(Netsim.Node.id t.dst)
-        ~sent_at:(Engine.Sim.now t.sim)
         ~payload:
           (Netsim.Packet.Tfrc_data
              {

@@ -101,7 +101,7 @@ let transmit t ~seq =
   let now = Engine.Sim.now t.sim in
   let pkt =
     Netsim.Packet.make ~size:t.cfg.pkt_size ~seq ~flow:t.flow_id
-      ~src:(Netsim.Node.id t.src) ~dst:(Netsim.Node.id t.dst) ~sent_at:now ()
+      ~src:(Netsim.Node.id t.src) ~dst:(Netsim.Node.id t.dst) ()
   in
   t.pkts_sent <- t.pkts_sent + 1;
   t.bytes_sent <- t.bytes_sent + t.cfg.pkt_size;

@@ -276,10 +276,9 @@ let build sc =
     b.flows;
   b
 
-(* The whole observable end state, uid-free (uids come from a global
-   atomic counter, so parallel legs interleave them differently):
-   per-flow transport statistics, per-link counters in creation order,
-   and the engine's event count and final clock. *)
+(* The whole observable end state: per-flow transport statistics,
+   per-link counters in creation order, and the engine's event count and
+   final clock. *)
 let trace_of sc b =
   Engine.Sim.run ~until:sc.duration b.sim;
   let buf = Buffer.create 1024 in

@@ -7,7 +7,9 @@
    holds events with [floor (time / width) = n].  Dequeue scans one
    calendar "year" (every bucket once) from the cursor; if nothing lies
    inside its own window the minimum is found by direct search, exactly
-   as ns-2's scheduler does for sparse horizons.
+   as ns-2's scheduler does for sparse horizons.  The bucket a search
+   finds is kept until the next insert or remove, so [min_time] followed
+   by [take] searches once.
 
    Ordering is lexicographic on (time, key).  For [add]ed values the key
    is the queue's insertion counter, so values added at equal timestamps
@@ -40,6 +42,10 @@ type 'a t = {
   mutable cur : int;  (* absolute bucket number of the search cursor *)
   mutable size : int;
   mutable next_seq : int;
+  mutable found : int;
+      (* bucket holding the minimum, as the last search left [cur]; -1
+         once an insert or remove may have moved it.  Lets [take] reuse
+         the search [min_time] just made: one search per event. *)
   staging : floatarray;  (* unboxed hand-off slot for [insert_staged] *)
   (* Last (time, key) handed out by [take]/[take_key]; only read/written
      under [Audit.invariants_on] to assert (time, insertion-order) pop
@@ -66,6 +72,7 @@ let create () =
     cur = 0;
     size = 0;
     next_seq = 0;
+    found = -1;
     staging = Float.Array.create 1;
     last_pop_time = Float.neg_infinity;
     last_pop_key = -1;
@@ -194,6 +201,7 @@ let resize t nb =
    inlined caller hands it over unboxed; returns the new node. *)
 let[@inline] insert_staged t key =
   let time = Float.Array.unsafe_get t.staging 0 in
+  t.found <- -1;
   if t.free < 0 then grow_pool t;
   let n = t.free in
   t.free <- Array.unsafe_get t.nexts n;
@@ -271,7 +279,7 @@ let direct_search t =
    earliest event, positioning [t.cur] on its year.  Assumes size > 0.
    A while loop over int refs, not a local recursive function — a [let
    rec] closure here would be allocated on every [min_time]/[take]. *)
-let find_min_bucket t =
+let search_min_bucket t =
   let nb = t.mask + 1 in
   let c = ref t.cur in
   let k = ref 0 in
@@ -295,9 +303,18 @@ let find_min_bucket t =
   done;
   if !found >= 0 then !found else direct_search t
 
+let[@inline] find_min_bucket t =
+  if t.found >= 0 then t.found
+  else begin
+    let b = search_min_bucket t in
+    t.found <- b;
+    b
+  end
+
 (* The one remove path: unlink bucket [b]'s head and return its node.
    The node's fields stay readable until the next insert reuses it. *)
 let remove_head t b =
+  t.found <- -1;
   let n = Array.unsafe_get t.buckets b in
   Array.unsafe_set t.buckets b (Array.unsafe_get t.nexts n);
   Array.unsafe_set t.nexts n t.free;
@@ -380,6 +397,7 @@ let pop t =
    would have popped as no-ops.  Only for a [unit t], so no value needs
    releasing. *)
 let filter t ~keep =
+  t.found <- -1;
   let live = Array.make t.size 0. in
   let nodes = Array.make t.size 0 in
   let kept = ref 0 in
@@ -429,5 +447,6 @@ let clear t =
   Array.fill t.buckets 0 (Array.length t.buckets) (-1);
   t.size <- 0;
   t.cur <- 0;
+  t.found <- -1;
   t.last_pop_time <- Float.neg_infinity;
   t.last_pop_key <- -1

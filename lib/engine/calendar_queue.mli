@@ -48,7 +48,9 @@ val pop : 'a t -> (float * 'a) option
 
 (** Allocation-free variant of {!pop}: remove and return the earliest
     event's value.  Raises [Invalid_argument] on an empty queue; read
-    {!min_time} first for the timestamp. *)
+    {!min_time} first for the timestamp.  A [min_time], [min_key] or
+    [take] that follows another with no insert or remove in between
+    reuses its bucket search. *)
 val take : 'a t -> 'a
 
 (** Earliest event time without removing it, [Float.nan] if empty.  The

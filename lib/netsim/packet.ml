@@ -19,44 +19,32 @@ type payload =
     }
 
 type t = {
-  mutable uid : int;
   mutable flow : int;
   mutable src : int;
   mutable dst : int;
   mutable size : int;
   mutable seq : int;
-  mutable sent_at : float;
   mutable payload : payload;
   mutable ecn : bool;
   mutable pooled : bool;
   mutable gen : int;
 }
 
-(* Atomic so that simulations running on parallel domains (Engine.Pool)
-   still mint unique uids.  Uids only label packets for tracing/printing;
-   no simulation logic depends on their values. *)
-let uid_counter = Atomic.make 0
-
 let dummy =
   {
-    uid = 0;
     flow = -1;
     src = -1;
     dst = -1;
     size = 0;
     seq = 0;
-    sent_at = 0.;
     payload = Plain;
     ecn = false;
     pooled = false;
     gen = 0;
   }
 
-let make ?(size = 1000) ?(seq = 0) ?(payload = Plain) ~flow ~src ~dst ~sent_at
-    () =
-  let uid = 1 + Atomic.fetch_and_add uid_counter 1 in
-  { uid; flow; src; dst; size; seq; sent_at; payload; ecn = false;
-    pooled = false; gen = 0 }
+let make ?(size = 1000) ?(seq = 0) ?(payload = Plain) ~flow ~src ~dst () =
+  { flow; src; dst; size; seq; payload; ecn = false; pooled = false; gen = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Freelist                                                            *)
@@ -117,8 +105,9 @@ let release p =
     (* A shell with a non-zero generation and [pooled = false] is either
        on the freelist or already dead; a second [release] means two
        owners both believed they were the last consumer. *)
-    Engine.Audit.fail "Packet.release: double release of shell uid=%d gen=%d"
-      p.uid p.gen
+    Engine.Audit.fail
+      "Packet.release: double release of shell flow=%d seq=%d gen=%d" p.flow
+      p.seq p.gen
 
 (* Detect a shell that re-entered the network after release, or one a
    recycler forgot to scrub.  Called from [Link.send] (the injection
@@ -126,58 +115,56 @@ let release p =
 let check_live p =
   if (not p.pooled) && p.gen > 0 then
     Engine.Audit.fail
-      "Packet: use-after-release — released shell uid=%d gen=%d re-entered \
-       the network"
-      p.uid p.gen;
+      "Packet: use-after-release — released shell flow=%d seq=%d gen=%d \
+       re-entered the network"
+      p.flow p.seq p.gen;
   if p.seq = poison_seq then
     Engine.Audit.fail
-      "Packet: dirty reuse — shell uid=%d carries a poisoned seq (recycle \
-       path failed to reset it)"
-      p.uid;
+      "Packet: dirty reuse — shell flow=%d gen=%d carries a poisoned seq \
+       (recycle path failed to reset it)"
+      p.flow p.gen;
   match p.payload with
   | Ack a ->
     if a.cum_seq = poison_seq then
       Engine.Audit.fail
-        "Packet: dirty reuse — ack shell uid=%d carries a poisoned cum_seq \
-         (alloc_ack failed to reset it)"
-        p.uid;
+        "Packet: dirty reuse — ack shell flow=%d seq=%d gen=%d carries a \
+         poisoned cum_seq (alloc_ack failed to reset it)"
+        p.flow p.seq p.gen;
     (match a.sack with
     | (lo, _) :: _ when lo = poison_seq ->
       Engine.Audit.fail
-        "Packet: dirty reuse — ack shell uid=%d carries poisoned sack \
-         blocks (alloc_ack failed to reset them)"
-        p.uid
+        "Packet: dirty reuse — ack shell flow=%d seq=%d gen=%d carries \
+         poisoned sack blocks (alloc_ack failed to reset them)"
+        p.flow p.seq p.gen
     | _ -> ())
   | Plain | Rap_ack _ | Tfrc_data _ | Tfrc_fb _ | Tear_fb _ -> ()
 
 (* Take a packet shell from the freelist (or allocate one) and refill the
    common fields.  [payload] is left untouched for the caller to reuse or
    replace. *)
-let recycle ~size ~flow ~src ~dst ~sent_at =
+let recycle ~size ~flow ~src ~dst =
   let fl = Domain.DLS.get freelist_key in
   if !pooling_enabled && fl.len > 0 then begin
     fl.len <- fl.len - 1;
     let p = Array.unsafe_get fl.items fl.len in
     Array.unsafe_set fl.items fl.len dummy;
-    p.uid <- 1 + Atomic.fetch_and_add uid_counter 1;
     p.flow <- flow;
     p.src <- src;
     p.dst <- dst;
     p.size <- size;
     p.seq <- 0;
-    p.sent_at <- sent_at;
     p.ecn <- false;
     p.pooled <- true;
     p
   end
   else begin
-    let p = make ~size ~flow ~src ~dst ~sent_at () in
+    let p = make ~size ~flow ~src ~dst () in
     p.pooled <- !pooling_enabled;
     p
   end
 
-let alloc_ack ~size ~flow ~src ~dst ~sent_at ~cum_seq ~sack =
-  let p = recycle ~size ~flow ~src ~dst ~sent_at in
+let alloc_ack ~size ~flow ~src ~dst ~cum_seq ~sack =
+  let p = recycle ~size ~flow ~src ~dst in
   (match p.payload with
   | Ack a ->
     a.cum_seq <- cum_seq;
@@ -186,8 +173,8 @@ let alloc_ack ~size ~flow ~src ~dst ~sent_at ~cum_seq ~sack =
     p.payload <- Ack { cum_seq; sack });
   p
 
-let alloc_tfrc_fb ~size ~flow ~src ~dst ~sent_at fb =
-  let p = recycle ~size ~flow ~src ~dst ~sent_at in
+let alloc_tfrc_fb ~size ~flow ~src ~dst fb =
+  let p = recycle ~size ~flow ~src ~dst in
   p.payload <- Tfrc_fb fb;
   p
 
@@ -197,7 +184,5 @@ let is_ack t =
   | Plain | Tfrc_data _ -> false
 
 let pp fmt t =
-  Format.fprintf fmt "pkt#%d flow=%d %d->%d seq=%d size=%d" t.uid t.flow t.src
-    t.dst t.seq t.size
-
-let reset_uids () = Atomic.set uid_counter 0
+  Format.fprintf fmt "pkt flow=%d seq=%d gen=%d %d->%d size=%d" t.flow t.seq
+    t.gen t.src t.dst t.size

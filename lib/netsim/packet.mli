@@ -3,7 +3,15 @@
     Fields are mutable so the pooled allocators ({!alloc_ack},
     {!alloc_tfrc_fb}) can reuse released shells in place, but outside the
     pool machinery a packet must be treated as immutable apart from ECN
-    marking; transport-specific control information rides in [payload]. *)
+    marking; transport-specific control information rides in [payload].
+
+    A packet carries no identity or send time of its own: [pp], the
+    lifetime audit and {!Trace} name it by flow, seq and [gen], and a
+    sender that samples RTTs keeps its own send times (one probe time
+    per window flow, a per-seq table in BBR and Vegas, a timestamp in
+    the TFRC payload).  So a data packet is nine fields with no boxed
+    float, and minting one touches no state shared between
+    domains. *)
 
 type tfrc_feedback = {
   loss_event_rate : float;  (** receiver's current loss-event rate estimate *)
@@ -31,13 +39,11 @@ type payload =
     }
 
 type t = {
-  mutable uid : int;  (** globally unique *)
   mutable flow : int;  (** flow identifier; sinks dispatch on this *)
   mutable src : int;  (** source node id *)
   mutable dst : int;  (** destination node id *)
   mutable size : int;  (** bytes on the wire *)
   mutable seq : int;  (** data sequence number, in packets *)
-  mutable sent_at : float;  (** transport send time (for RTT sampling) *)
   mutable payload : payload;
   mutable ecn : bool;  (** congestion-experienced mark *)
   mutable pooled : bool;
@@ -51,8 +57,8 @@ type t = {
 (** A zero/placeholder packet for preallocated slots (never transmitted). *)
 val dummy : t
 
-(** [make ()] allocates a fresh uid.  Defaults: [size = 1000] bytes,
-    [payload = Plain], [seq = 0]. *)
+(** [make ()] allocates a fresh, unpooled packet.  Defaults:
+    [size = 1000] bytes, [payload = Plain], [seq = 0]. *)
 val make :
   ?size:int ->
   ?seq:int ->
@@ -60,7 +66,6 @@ val make :
   flow:int ->
   src:int ->
   dst:int ->
-  sent_at:float ->
   unit ->
   t
 
@@ -78,14 +83,12 @@ val alloc_ack :
   flow:int ->
   src:int ->
   dst:int ->
-  sent_at:float ->
   cum_seq:int ->
   sack:(int * int) list ->
   t
 
 val alloc_tfrc_fb :
-  size:int -> flow:int -> src:int -> dst:int -> sent_at:float ->
-  tfrc_feedback -> t
+  size:int -> flow:int -> src:int -> dst:int -> tfrc_feedback -> t
 
 (** Return a pooled packet to the freelist.  No-op on packets not made by
     the pooled allocators or already released — except under
@@ -111,7 +114,6 @@ val set_pooling : bool -> unit
 val pooling : unit -> bool
 
 val is_ack : t -> bool
-val pp : Format.formatter -> t -> unit
 
-(** Reset the uid counter (tests only). *)
-val reset_uids : unit -> unit
+(** [pkt flow=F seq=S gen=G SRC->DST size=B]. *)
+val pp : Format.formatter -> t -> unit

@@ -8,8 +8,8 @@ type t = {
 let log t tag (pkt : Packet.t) =
   if t.active then begin
     t.events <- t.events + 1;
-    Format.fprintf t.out "%s %.6f %d %d %d %d@." tag (Engine.Sim.now t.sim)
-      pkt.Packet.flow pkt.Packet.seq pkt.Packet.size pkt.Packet.uid
+    Format.fprintf t.out "%s %.6f %d %d %d@." tag (Engine.Sim.now t.sim)
+      pkt.Packet.flow pkt.Packet.seq pkt.Packet.size
   end
 
 let attach ~sim ~out link =

@@ -4,9 +4,11 @@
     ns-2; we log the observable events: departure [d] and drop [x]) is
     written as a text line:
 
-    {v <event> <time> <flow> <seq> <size> <uid> v}
+    {v <event> <time> <flow> <seq> <size> v}
 
-    Useful for debugging protocol dynamics and for piping into external
+    A packet has no identity beyond its flow and seq, so a
+    retransmission shows as a second line with the same pair.  Useful
+    for debugging protocol dynamics and for piping into external
     plotting. *)
 
 type t

@@ -15,7 +15,7 @@ let expect_violation name f =
   | exception Audit.Violation _ -> ()
 
 let fresh_ack () =
-  Packet.alloc_ack ~size:40 ~flow:1 ~src:2 ~dst:3 ~sent_at:1. ~cum_seq:7
+  Packet.alloc_ack ~size:40 ~flow:1 ~src:2 ~dst:3 ~cum_seq:7
     ~sack:[ (9, 11) ]
 
 (* --- flag machinery ------------------------------------------------ *)
@@ -108,7 +108,7 @@ let test_clean_reuse_resets_everything () =
       Packet.release a;
       (* The freelist hands the same physical shell back... *)
       let b =
-        Packet.alloc_ack ~size:40 ~flow:5 ~src:6 ~dst:7 ~sent_at:2. ~cum_seq:0
+        Packet.alloc_ack ~size:40 ~flow:5 ~src:6 ~dst:7 ~cum_seq:0
           ~sack:[]
       in
       Alcotest.(check bool) "same shell recycled" true (a == b);
@@ -130,7 +130,7 @@ let test_cross_payload_reuse () =
       (* An ack shell reused as TFRC feedback must not leak the Ack
          payload or the poison. *)
       let fb =
-        Packet.alloc_tfrc_fb ~size:40 ~flow:9 ~src:1 ~dst:2 ~sent_at:3.
+        Packet.alloc_tfrc_fb ~size:40 ~flow:9 ~src:1 ~dst:2
           {
             Packet.loss_event_rate = 0.01;
             recv_rate = 1e5;
@@ -182,7 +182,7 @@ let test_drop_site_releases () =
      transmitter, the second the 1-slot queue, the third must drop. *)
   let send () =
     Netsim.Link.send link
-      (Packet.alloc_ack ~size:1000 ~flow:0 ~src:0 ~dst:1 ~sent_at:0.
+      (Packet.alloc_ack ~size:1000 ~flow:0 ~src:0 ~dst:1
          ~cum_seq:0 ~sack:[])
   in
   send ();
@@ -203,7 +203,7 @@ let test_discard_site_releases () =
   let seen = ref [] in
   Netsim.Node.on_discard node (fun pkt -> seen := pkt :: !seen);
   let p =
-    Packet.alloc_ack ~size:40 ~flow:3 ~src:0 ~dst:99 ~sent_at:0. ~cum_seq:0
+    Packet.alloc_ack ~size:40 ~flow:3 ~src:0 ~dst:99 ~cum_seq:0
       ~sack:[]
   in
   Netsim.Node.receive node p;
@@ -253,9 +253,8 @@ let test_conservation_accessors_consistent () =
   Netsim.Link.connect link (fun pkt ->
       incr delivered;
       Packet.release pkt);
-  for i = 1 to 5 do
-    Netsim.Link.send link
-      (Packet.make ~flow:0 ~src:0 ~dst:1 ~sent_at:(float_of_int i) ())
+  for seq = 1 to 5 do
+    Netsim.Link.send link (Packet.make ~seq ~flow:0 ~src:0 ~dst:1 ())
   done;
   Netsim.Link.check_conservation link;
   Engine.Sim.run sim;

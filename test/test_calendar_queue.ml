@@ -117,25 +117,39 @@ let test_sparse_horizon () =
 (* Drive both queues with one randomized (add | pop) stream obeying the
    simulator's contract (never add behind the last popped time), with
    times quantized so FIFO ties are frequent, and assert identical pop
-   sequences. *)
+   sequences.  Half the pops are a [min_time] then a [take], the way
+   [Sim.run] drains, and some adds follow a [min_time]: the search a peek
+   caches must serve the next take and no later one. *)
 let equivalence_run ~seed ~ops ~quantum =
   let st = Random.State.make [| seed |] in
   let h = Eh.create () in
   let c = Cq.create () in
   let last = ref 0. in
   let next_id = ref 0 in
+  let check (th, vh) (tc, vc) =
+    if th <> tc || vh <> vc then
+      Alcotest.failf "pop mismatch: heap (%g, %d) vs calendar (%g, %d)" th vh
+        tc vc;
+    last := th
+  in
   let check_pop () =
-    match (Eh.pop h, Cq.pop c) with
-    | None, None -> ()
-    | Some (th, vh), Some (tc, vc) ->
-        if th <> tc || vh <> vc then
-          Alcotest.failf "pop mismatch: heap (%g, %d) vs calendar (%g, %d)" th
-            vh tc vc;
-        last := th
-    | Some _, None -> Alcotest.fail "calendar empty while heap is not"
-    | None, Some _ -> Alcotest.fail "heap empty while calendar is not"
+    if Random.State.bool st && not (Eh.is_empty h || Cq.is_empty c) then begin
+      let th = Eh.min_time h and tc = Cq.min_time c in
+      let vh = Eh.take h in
+      check (th, vh) (tc, Cq.take c)
+    end
+    else
+      match (Eh.pop h, Cq.pop c) with
+      | None, None -> ()
+      | Some ph, Some pc -> check ph pc
+      | Some _, None -> Alcotest.fail "calendar empty while heap is not"
+      | None, Some _ -> Alcotest.fail "heap empty while calendar is not"
   in
   for _ = 1 to ops do
+    if Random.State.int st 4 = 0 && not (Eh.is_empty h) then
+      if Eh.min_time h <> Cq.min_time c then
+        Alcotest.failf "peek mismatch: heap %g vs calendar %g" (Eh.min_time h)
+          (Cq.min_time c);
     if Random.State.int st 3 < 2 || Eh.is_empty h then begin
       let dt = float_of_int (Random.State.int st 50) *. quantum in
       let time = !last +. dt in

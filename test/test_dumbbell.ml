@@ -21,8 +21,7 @@ let measure_rtt sim db =
   Netsim.Node.attach right ~flow (fun pkt ->
       let echo =
         Netsim.Packet.make ~size:pkt.Netsim.Packet.size ~flow
-          ~src:(Netsim.Node.id right) ~dst:(Netsim.Node.id left)
-          ~sent_at:0. ()
+          ~src:(Netsim.Node.id right) ~dst:(Netsim.Node.id left) ()
       in
       Netsim.Node.inject right echo);
   Netsim.Node.attach left ~flow (fun _ -> t_back := Engine.Sim.now sim);
@@ -30,7 +29,7 @@ let measure_rtt sim db =
       t_sent := 0.;
       let probe =
         Netsim.Packet.make ~size:40 ~flow ~src:(Netsim.Node.id left)
-          ~dst:(Netsim.Node.id right) ~sent_at:0. ()
+          ~dst:(Netsim.Node.id right) ()
       in
       Netsim.Node.inject left probe);
   Engine.Sim.run sim;
@@ -53,10 +52,10 @@ let test_forward_and_reverse_paths () =
   Engine.Sim.at sim 0. (fun () ->
       Netsim.Node.inject left
         (Netsim.Packet.make ~flow ~src:(Netsim.Node.id left)
-           ~dst:(Netsim.Node.id right) ~sent_at:0. ());
+           ~dst:(Netsim.Node.id right) ());
       Netsim.Node.inject right
         (Netsim.Packet.make ~flow ~src:(Netsim.Node.id right)
-           ~dst:(Netsim.Node.id left) ~sent_at:0. ()));
+           ~dst:(Netsim.Node.id left) ()));
   Engine.Sim.run sim;
   Alcotest.(check int) "right got it" 1 !at_right;
   Alcotest.(check int) "left got it" 1 !at_left
@@ -72,7 +71,7 @@ let test_host_pairs_isolated () =
   Engine.Sim.at sim 0. (fun () ->
       Netsim.Node.inject l1
         (Netsim.Packet.make ~flow ~src:(Netsim.Node.id l1)
-           ~dst:(Netsim.Node.id r1) ~sent_at:0. ()));
+           ~dst:(Netsim.Node.id r1) ()));
   Engine.Sim.run sim;
   Alcotest.(check int) "addressed host" 1 !at_r1;
   Alcotest.(check int) "other host untouched" 0 !at_r2

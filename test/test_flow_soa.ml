@@ -177,6 +177,67 @@ let test_wheel_size_bounded () =
     "wheel saw traffic" true
     (Cc.Flow_soa.wheel_tracked b.Mf.eng > 0)
 
+(* Per-flow footprint of a 10,000-slot engine and its node
+   registrations, by live-word delta around [create]: 8 float slots
+   (64 B) and 13 32-bit int slots (52 B), with one dispatch entry per
+   node for the whole engine. *)
+let test_state_bytes_per_flow () =
+  let n = 10_000 in
+  let sim = Engine.Sim.create () in
+  let src = Netsim.Node.create ~id:0 and dst = Netsim.Node.create ~id:1 in
+  let cfg =
+    Cc.Window_cc.default_config (Cc.Window_cc.tcp_compatible_aimd ~b:0.5)
+  in
+  let live () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  let eng = Cc.Flow_soa.create ~sim ~src ~dst ~base:0 ~n cfg in
+  let after = live () in
+  Alcotest.(check int) "engine kept live" n (Cc.Flow_soa.n eng);
+  let per_flow =
+    float_of_int ((after - before) * (Sys.word_size / 8)) /. float_of_int n
+  in
+  if per_flow > 120. then
+    Alcotest.failf "%.1f B per flow, budget 120 B" per_flow
+
+(* Int slots are 32 bits: the largest 32-bit sequence number reads back
+   exactly (here through the sink's SACK block), and one past it raises
+   instead of wrapping to a negative seq. *)
+let test_slot_overflow_raises () =
+  let sim = Engine.Sim.create () in
+  let src = Netsim.Node.create ~id:0 and dst = Netsim.Node.create ~id:1 in
+  let link =
+    Netsim.Link.make ~sim ~bandwidth:1e9 ~delay:0.
+      ~queue:(Netsim.Droptail.make ~capacity:10)
+  in
+  Netsim.Link.connect link (Netsim.Node.receive src);
+  Netsim.Node.set_default_route dst link;
+  let cfg =
+    {
+      (Cc.Window_cc.default_config (Cc.Window_cc.tcp_compatible_aimd ~b:0.5)) with
+      Cc.Window_cc.sack = true;
+    }
+  in
+  ignore (Cc.Flow_soa.create ~sim ~src ~dst ~base:0 ~n:1 cfg);
+  let sacks = ref [] in
+  Netsim.Node.attach src ~flow:0 (fun pkt ->
+      match pkt.Netsim.Packet.payload with
+      | Netsim.Packet.Ack { sack; _ } -> sacks := sack :: !sacks
+      | _ -> ());
+  let deliver seq =
+    Netsim.Node.receive dst (Netsim.Packet.make ~seq ~flow:0 ~src:0 ~dst:1 ())
+  in
+  let top = Int32.to_int Int32.max_int in
+  Alcotest.check_raises "2^31 does not fit"
+    (Invalid_argument "Flow_soa: 2147483648 does not fit a 32-bit slot")
+    (fun () -> deliver (top + 1));
+  deliver top;
+  Engine.Sim.run sim;
+  Alcotest.(check (list (list (pair int int))))
+    "largest 32-bit seq reads back" [ [ (top, top + 1) ] ] !sacks
+
 let suite =
   [
     Alcotest.test_case "equiv at n=64 (dyadic collisions, calendar)" `Quick
@@ -191,4 +252,7 @@ let suite =
     Alcotest.test_case "create validation" `Quick test_create_validation;
     Alcotest.test_case "wheel size bounded by live entries" `Quick
       test_wheel_size_bounded;
+    Alcotest.test_case "state bytes per flow" `Quick test_state_bytes_per_flow;
+    Alcotest.test_case "slot value outside 32 bits raises" `Quick
+      test_slot_overflow_raises;
   ]

@@ -1,9 +1,9 @@
 (* Deterministic loss-pattern wrappers. *)
 
-let data seq = Netsim.Packet.make ~seq ~flow:0 ~src:0 ~dst:1 ~sent_at:0. ()
+let data seq = Netsim.Packet.make ~seq ~flow:0 ~src:0 ~dst:1 ()
 
 let ack seq =
-  Netsim.Packet.make ~seq ~flow:0 ~src:1 ~dst:0 ~sent_at:0.
+  Netsim.Packet.make ~seq ~flow:0 ~src:1 ~dst:0
     ~payload:(Netsim.Packet.Ack { cum_seq = seq; sack = [] })
     ()
 

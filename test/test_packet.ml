@@ -1,12 +1,7 @@
 (* Packet construction and classification. *)
 
-let test_unique_uids () =
-  let a = Netsim.Packet.make ~flow:0 ~src:0 ~dst:1 ~sent_at:0. () in
-  let b = Netsim.Packet.make ~flow:0 ~src:0 ~dst:1 ~sent_at:0. () in
-  Alcotest.(check bool) "uids differ" true (a.Netsim.Packet.uid <> b.Netsim.Packet.uid)
-
 let test_defaults () =
-  let p = Netsim.Packet.make ~flow:3 ~src:1 ~dst:2 ~sent_at:1.5 () in
+  let p = Netsim.Packet.make ~flow:3 ~src:1 ~dst:2 () in
   Alcotest.(check int) "size" 1000 p.Netsim.Packet.size;
   Alcotest.(check int) "seq" 0 p.Netsim.Packet.seq;
   Alcotest.(check bool) "payload plain" true
@@ -14,7 +9,7 @@ let test_defaults () =
   Alcotest.(check bool) "no ecn" false p.Netsim.Packet.ecn
 
 let test_is_ack () =
-  let mk payload = Netsim.Packet.make ~flow:0 ~src:0 ~dst:1 ~sent_at:0. ~payload () in
+  let mk payload = Netsim.Packet.make ~flow:0 ~src:0 ~dst:1 ~payload () in
   Alcotest.(check bool) "plain" false (Netsim.Packet.is_ack (mk Netsim.Packet.Plain));
   Alcotest.(check bool) "ack" true
     (Netsim.Packet.is_ack (mk (Netsim.Packet.Ack { cum_seq = 1; sack = [] })));
@@ -41,13 +36,13 @@ let contains_sub s sub =
   go 0
 
 let test_pp () =
-  let p = Netsim.Packet.make ~flow:3 ~src:1 ~dst:2 ~sent_at:0. () in
+  let p = Netsim.Packet.make ~seq:9 ~flow:3 ~src:1 ~dst:2 () in
   let s = Format.asprintf "%a" Netsim.Packet.pp p in
-  Alcotest.(check bool) "mentions flow" true (contains_sub s "flow=3")
+  Alcotest.(check bool) "mentions flow" true (contains_sub s "flow=3");
+  Alcotest.(check bool) "mentions seq" true (contains_sub s "seq=9")
 
 let suite =
   [
-    Alcotest.test_case "unique uids" `Quick test_unique_uids;
     Alcotest.test_case "defaults" `Quick test_defaults;
     Alcotest.test_case "is_ack" `Quick test_is_ack;
     Alcotest.test_case "pp" `Quick test_pp;

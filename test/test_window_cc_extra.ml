@@ -125,7 +125,7 @@ let test_stale_acks_are_not_dupacks () =
   for _ = 1 to 3 do
     Netsim.Node.receive src
       (Netsim.Packet.make ~size:40 ~flow:flow_id ~src:(Netsim.Node.id dst)
-         ~dst:(Netsim.Node.id src) ~sent_at:(Engine.Sim.now sim)
+         ~dst:(Netsim.Node.id src)
          ~payload:(Netsim.Packet.Ack { cum_seq = 1; sack = [] })
          ())
   done;
