@@ -46,6 +46,8 @@ let pos_float =
     (fun v -> Float.is_finite v && v > 0.)
     "a finite positive number"
 
+let nonneg_int = restrict Arg.int (fun n -> n >= 0) "a non-negative integer"
+
 let jobs_arg =
   Arg.(
     value
@@ -99,8 +101,7 @@ let cache_dir_arg =
            the same binary, id, --quick flag and parameters replays the \
            stored (digest-verified) tables instead of re-simulating.  \
            --jobs is not part of the key — results are byte-identical at \
-           any N.  The directory also persists per-job timings that order \
-           parallel sweeps longest-first.")
+           any N.  The directory holds one $(b,.entry) file per unit.")
 
 let no_cache_arg =
   Arg.(
@@ -151,7 +152,7 @@ let backend_arg =
 let workers_arg =
   Arg.(
     value
-    & opt int (Engine.Pool.default_jobs ())
+    & opt nonneg_int (Engine.Pool.default_jobs ())
     & info [ "workers" ] ~docv:"N"
         ~doc:
           "Worker processes for $(b,--backend proc) (default: this \
@@ -162,7 +163,7 @@ let workers_arg =
 
 let lease_arg =
   Arg.(
-    value & opt float 3600.
+    value & opt pos_float 3600.
     & info [ "lease-s" ] ~docv:"SECONDS"
         ~doc:
           "Claim lease for the process backend.  A worker that dies \
@@ -172,7 +173,7 @@ let lease_arg =
 
 let poll_arg =
   Arg.(
-    value & opt float 0.5
+    value & opt pos_float 0.5
     & info [ "poll-s" ] ~docv:"SECONDS"
         ~doc:"Idle polling interval for process-backend workers and the \
               coordinator's completion tail.")
@@ -195,10 +196,7 @@ let with_proc_backend ~quick ~jobs ~workers ~lease_s ~poll_s ~cache ~units
     Slowcc.Workqueue.seed ~dir:qdir
       ~fingerprint:(Slowcc.Result_cache.fingerprint cache)
       ~quick
-      ~jobs:
-        (List.map
-           (fun u -> (u, Slowcc.Experiments.unit_cost ~cache ~quick u))
-           units)
+      ~jobs:(List.map (fun u -> (u, None)) units)
   in
   Format.eprintf "queue: %s (%d unit(s))@." qdir (List.length units);
   let requeue () = ignore (Slowcc.Workqueue.requeue_expired q ~now:(now ())) in
@@ -317,7 +315,7 @@ let worker_cmd =
                 ~run:(fun (job : Slowcc.Workqueue.job) ->
                   match
                     Slowcc.Experiments.run_cached ~quick ~pool ~cache
-                      ~now:Unix.gettimeofday job.Slowcc.Workqueue.name
+                      job.Slowcc.Workqueue.name
                   with
                   | Some _ -> ()
                   | None ->
@@ -361,8 +359,7 @@ let run_experiment verbose quick jobs out_dir emit cache_dir no_cache backend
     let result =
       match out_dir with
       | None ->
-        Slowcc.Experiments.run_cached ~stream ~quick ~pool ?cache
-          ~now:Unix.gettimeofday name
+        Slowcc.Experiments.run_cached ~stream ~quick ~pool ?cache name
       | Some dir ->
         Slowcc.Experiments.run_to_dir ~stream ~quick ~pool ?cache ?backend
           ~emit ~now:Unix.gettimeofday ~dir ~jobs name
@@ -426,22 +423,18 @@ let cache_dir_required =
 
 let cache_stats_cmd =
   let run dir =
-    let fp = Slowcc.Result_cache.self_fingerprint () in
-    let s = Slowcc.Result_cache.stats ~fingerprint:fp ~dir () in
+    let s = Slowcc.Result_cache.stats ~dir in
     Format.printf "dir:         %s@." dir;
     Format.printf "entries:     %d (%d bytes)@." s.Slowcc.Result_cache.entries
       s.Slowcc.Result_cache.entry_bytes;
-    Format.printf "timings:     %d job(s), %d usable by this binary@."
-      s.Slowcc.Result_cache.timing_entries
-      s.Slowcc.Result_cache.timing_entries_self;
-    Format.printf "fingerprint: %s (this binary)@." fp;
+    Format.printf "fingerprint: %s (this binary)@."
+      (Slowcc.Result_cache.self_fingerprint ());
     0
   in
   Cmd.v
     (Cmd.info "stats"
        ~doc:
-         "Show entry count, total size and timing coverage (how many \
-          recorded job timings this binary's LPT scheduling can use)")
+         "Show entry count, total size and this binary's code fingerprint")
     Term.(const run $ cache_dir_required)
 
 let age_conv =
@@ -497,19 +490,18 @@ let cache_prune_cmd =
     (Cmd.info "prune"
        ~doc:
          "Delete cache entries older than a cutoff (by file modification \
-          time); the timing store is kept")
+          time)")
     Term.(const run $ cache_dir_required $ older_arg)
 
 let cache_clear_cmd =
   let run dir =
-    let s = Slowcc.Result_cache.stats ~dir () in
+    let s = Slowcc.Result_cache.stats ~dir in
     Slowcc.Result_cache.clear ~dir;
-    Format.printf "cleared %d entr(ies) and the timing store under %s@."
+    Format.printf "cleared %d entr(ies) under %s@."
       s.Slowcc.Result_cache.entries dir;
     0
   in
-  Cmd.v
-    (Cmd.info "clear" ~doc:"Delete every cache entry and the timing store")
+  Cmd.v (Cmd.info "clear" ~doc:"Delete every cache entry")
     Term.(const run $ cache_dir_required)
 
 let cache_cmd =

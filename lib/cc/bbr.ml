@@ -450,10 +450,6 @@ let flow t =
     pkts_sent = (fun () -> t.pkts_sent);
     bytes_sent = (fun () -> float_of_int t.bytes_sent);
     bytes_delivered = (fun () -> Sink.bytes_received t.sink);
-    current_rate =
-      (fun () ->
-        if t.btl_bw > 0. then t.btl_bw *. float_of_int t.pkt_size
-        else 0.);
     srtt = (fun () -> t.srtt);
     stats =
       (fun () ->
@@ -472,6 +468,5 @@ let mode t = mode_name t.mode
 let btl_bw_pps t = t.btl_bw
 let rtprop t = if Float.is_finite t.rtprop then t.rtprop else 0.
 let rto t = current_rto t
-let pacing_rate t = pacing_rate_pps t
 let timeouts t = t.n_timeouts
 let fast_retransmits t = t.n_fast_rtx

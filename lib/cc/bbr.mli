@@ -55,8 +55,5 @@ val rto : t -> float
 (** Current retransmit timeout, including backoff; never below
     0.2 s. *)
 
-val pacing_rate : t -> float
-(** Current pacing rate in packets per second. *)
-
 val timeouts : t -> int
 val fast_retransmits : t -> int

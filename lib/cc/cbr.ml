@@ -71,7 +71,6 @@ let flow t =
     pkts_sent = (fun () -> t.pkts_sent);
     bytes_sent = (fun () -> t.bytes_sent);
     bytes_delivered = (fun () -> t.bytes_delivered);
-    current_rate = (fun () -> if t.on then t.rate /. 8. else 0.);
     srtt = (fun () -> 0.);
     stats =
       Flow.basic_stats
@@ -86,4 +85,3 @@ let set_rate t rate =
   t.rate <- rate
 
 let rate t = t.rate
-let is_on t = t.on

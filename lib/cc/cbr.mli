@@ -18,4 +18,3 @@ val create :
 val flow : t -> Flow.t
 val set_rate : t -> float -> unit
 val rate : t -> float
-val is_on : t -> bool

@@ -16,7 +16,6 @@ type t = {
   pkts_sent : unit -> int;
   bytes_sent : unit -> float;
   bytes_delivered : unit -> float;
-  current_rate : unit -> float;
   srtt : unit -> float;
   stats : unit -> stats;
 }

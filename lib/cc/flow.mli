@@ -26,7 +26,6 @@ type t = {
   pkts_sent : unit -> int;
   bytes_sent : unit -> float;
   bytes_delivered : unit -> float;  (** received at the sink *)
-  current_rate : unit -> float;  (** instantaneous send rate, bytes/s *)
   srtt : unit -> float;  (** smoothed RTT estimate, seconds *)
   stats : unit -> stats;  (** full statistics snapshot *)
 }

@@ -768,12 +768,6 @@ let flow t i =
     pkts_sent = (fun () -> pkts_sent t i);
     bytes_sent = (fun () -> bytes_sent t i);
     bytes_delivered = (fun () -> bytes_delivered t i);
-    current_rate =
-      (fun () ->
-        let srtt = fget t F.srtt i in
-        if get_flag t i f_rttvalid && srtt > 0. then
-          fget t F.cwnd i *. float_of_int t.cfg.pkt_size /. srtt
-        else 0.);
     srtt = (fun () -> fget t F.srtt i);
     stats = (fun () -> stats t i);
   }

@@ -157,7 +157,6 @@ let flow t =
     pkts_sent = (fun () -> t.pkts_sent);
     bytes_sent = (fun () -> t.bytes_sent);
     bytes_delivered = (fun () -> t.bytes_delivered);
-    current_rate = (fun () -> rate_pps t *. float_of_int t.cfg.pkt_size);
     srtt = (fun () -> rtt t);
     stats =
       Flow.basic_stats

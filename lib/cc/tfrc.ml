@@ -368,7 +368,6 @@ let flow t =
     pkts_sent = (fun () -> t.pkts_sent);
     bytes_sent = (fun () -> float_of_int t.bytes_sent);
     bytes_delivered = (fun () -> float_of_int t.receiver.total_bytes);
-    current_rate = (fun () -> t.x *. float_of_int t.cfg.pkt_size);
     srtt = (fun () -> sender_rtt t);
     stats =
       Flow.basic_stats

@@ -340,11 +340,6 @@ let flow t =
     pkts_sent = (fun () -> t.pkts_sent);
     bytes_sent = (fun () -> float_of_int t.bytes_sent);
     bytes_delivered = (fun () -> Sink.bytes_received t.sink);
-    current_rate =
-      (fun () ->
-        if t.rtt_valid && t.srtt > 0. then
-          t.cwnd *. float_of_int t.cfg.pkt_size /. t.srtt
-        else 0.);
     srtt = (fun () -> t.srtt);
     stats =
       (fun () ->

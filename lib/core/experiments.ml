@@ -11,45 +11,13 @@ let fpct = Table.fpct
 (* reassembled in submission order.                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Timing scope of the experiment currently running, installed by
-   [run_cached] around the dispatch.  When set, every batch wraps its jobs
-   to measure wall time per job (recorded into the cache's timing store)
-   and feeds the previous run's measurements to the pool as cost
-   estimates, so batches execute longest-first.  Estimates are advisory:
-   they order execution, never results, so a stale or racing read of this
-   ref (nested batches run on worker domains) is harmless. *)
-let current_scope : Result_cache.scope option ref = ref None
-
-let with_scope scope f =
-  current_scope := Some scope;
-  Fun.protect ~finally:(fun () -> current_scope := None) f
+let pmap ?pool f xs =
+  match pool with
+  | None -> List.map f xs
+  | Some pool -> Engine.Pool.map_list pool f xs
 
 (* Keyed form: run [(key, thunk)] jobs, get [(key, result)] in order. *)
-let prun ?pool jobs =
-  match (pool, !current_scope) with
-  | None, _ -> List.map (fun (k, f) -> (k, f ())) jobs
-  | Some pool, None -> Engine.Pool.run_jobs pool jobs
-  | Some pool, Some scope ->
-    let cache = Result_cache.scope_cache scope in
-    let now = Result_cache.scope_now scope in
-    let tkeys = Result_cache.alloc_keys scope (List.length jobs) in
-    let timed =
-      List.map2
-        (fun tkey (k, f) ->
-          ( (tkey, k),
-            fun () ->
-              let t0 = now () in
-              let r = f () in
-              Result_cache.record cache tkey (now () -. t0);
-              r ))
-        tkeys jobs
-    in
-    let cost (tkey, _) = Result_cache.estimate cache tkey in
-    Engine.Pool.run_jobs pool ~cost timed
-    |> List.map (fun ((_, k), r) -> (k, r))
-
-let pmap ?pool f xs =
-  List.map snd (prun ?pool (List.mapi (fun i x -> (i, fun () -> f x)) xs))
+let prun ?pool jobs = pmap ?pool (fun (k, f) -> (k, f ())) jobs
 
 (* [grid ?pool xs ys f] runs [f x y] for every cell of the matrix as one
    batch, submitted x-major, and returns the cell lookup.  The whole
@@ -1068,7 +1036,7 @@ let zoo_gauntlet ?(quick = false) ?pool () =
 
 (* One record per unit of computation.  [also] lists the further ids the
    unit's sweep answers: their tables come out of the same run, so they
-   share the unit's cache entry, timing label and work-queue job.
+   share the unit's cache entry and work-queue job.
    [params] is the scenario parameter record written to manifests; only
    the knobs that shape the experiment are listed, everything else is a
    fixed constant of the scenario code, already pinned by the table
@@ -1198,17 +1166,9 @@ let params ?(quick = false) name =
       (registry ())
   else match lookup name with Some e -> e.params ~quick | None -> []
 
-let scope_label ~quick name = if quick then name ^ ":quick" else name
-
-(* Total measured wall seconds of one unit's jobs, from the timing store:
-   the LPT seed estimate of the process backend.  [None] until the unit
-   has run once under this binary (timing keys are fingerprint-scoped). *)
-let unit_cost ~cache ~quick name =
-  Result_cache.timing_sum cache ~label:(scope_label ~quick name)
-
-(* One unit through [cache].  The key, the stored experiment and the
-   timing label are the unit's id, whichever of its ids was asked for. *)
-let run_unit ~quick ?pool ?cache ?now e =
+(* One unit through [cache].  The key and the stored experiment are the
+   unit's id, whichever of its ids was asked for. *)
+let run_unit ~quick ?pool ?cache e =
   match cache with
   | None -> e.run ~quick ~pool
   | Some cache -> (
@@ -1218,23 +1178,17 @@ let run_unit ~quick ?pool ?cache ?now e =
     match Result_cache.lookup cache ~key with
     | Some tables -> tables
     | None ->
-      let scope =
-        Result_cache.scope ?now cache ~label:(scope_label ~quick e.id)
-      in
-      let tables = with_scope scope (fun () -> e.run ~quick ~pool) in
+      let tables = e.run ~quick ~pool in
       Result_cache.store cache ~key ~experiment:e.id ~quick tables;
-      Result_cache.save_timings cache;
       tables)
 
-let run_cached ?stream ?(quick = false) ?pool ?cache ?now name =
+let run_cached ?stream ?(quick = false) ?pool ?cache ?now:_ name =
   Option.map
     (List.concat_map (fun e ->
-         let tables = run_unit ~quick ?pool ?cache ?now e in
+         let tables = run_unit ~quick ?pool ?cache e in
          Option.iter (fun f -> List.iter f tables) stream;
          tables))
     (units_of name)
-
-let run_by_name ?quick ?pool name = run_cached ?quick ?pool name
 
 let cache_delta cache f =
   let before =
@@ -1259,8 +1213,7 @@ let run_to_dir ?stream ?(quick = false) ?pool ?cache ?backend
     ?(emit = Manifest.Both) ?(now = Sys.time) ~dir ~jobs name =
   let t0 = now () in
   let result, cache_info =
-    cache_delta cache (fun () ->
-        run_cached ?stream ~quick ?pool ?cache ~now name)
+    cache_delta cache (fun () -> run_cached ?stream ~quick ?pool ?cache name)
   in
   Option.map
     (fun tables ->

@@ -30,11 +30,6 @@ val all_units : string list
     for ["all"], and [[]] for an unknown id. *)
 val units : string -> string list
 
-(** Run an experiment by id ("fig3" ... "fig20", "ablation-...", "all");
-    [None] for an unknown id. *)
-val run_by_name :
-  ?quick:bool -> ?pool:Engine.Pool.t -> string -> Table.t list option
-
 (** Scenario parameters recorded in a run manifest for the named
     experiment (empty for unknown names and parameter-free tables).  The
     record is part of the result-cache key, so any change to it forces a
@@ -42,14 +37,13 @@ val run_by_name :
     {!names}, keeping provenance complete in combined manifests. *)
 val params : ?quick:bool -> string -> (string * Engine.Json.t) list
 
-(** {!run_by_name} through the result cache, one unit at a time.  On a
-    hit the unit's tables come from disk (digest-verified); on a miss the
-    unit runs inside a timing scope — each sweep job's wall time (per
-    [now], default [Sys.time]) is recorded into the cache's timing store
-    and the previous run's measurements order the pool's execution
-    longest-first.  An id and the unit that answers it share one cache
-    entry and one timing label.  [stream] is called on each table as its
-    unit finishes.  With [cache] absent this is exactly {!run_by_name}. *)
+(** Run an experiment by id ("fig3" ... "fig20", "ablation-...", "all"),
+    one unit at a time; [None] for an unknown id.  With [cache], a hit
+    replays the unit's tables from disk (digest-verified) and a miss runs
+    the unit and stores them.  An id and the unit that answers it share
+    one cache entry.  [stream] is called on each table as its unit
+    finishes.  [now] is ignored: nothing here is timed.  It stays in the
+    signature because the benchmark's sweep workloads pass it. *)
 val run_cached :
   ?stream:(Table.t -> unit) ->
   ?quick:bool ->
@@ -58,12 +52,6 @@ val run_cached :
   ?now:(unit -> float) ->
   string ->
   Table.t list option
-
-(** Total measured wall seconds of the named unit's jobs from the cache's
-    timing store ({!Result_cache.timing_sum} under the unit's scope
-    label) — the cost estimate the process backend seeds its work queue
-    with.  [None] until the unit has been measured by this binary. *)
-val unit_cost : cache:Result_cache.t -> quick:bool -> string -> float option
 
 (** [run_to_dir ~dir ~jobs name] runs the experiment as {!run_cached}
     does and writes its tables (per [emit], default [Both]) plus

@@ -10,20 +10,10 @@ type t = {
   mutex : Mutex.t;
   mutable hits : int;
   mutable misses : int;
-  (* Measured per-job wall seconds from previous runs, keyed by
-     "<fp8>:<experiment>[:quick]#<job index>" where fp8 abbreviates the
-     fingerprint of the binary that measured them.  Advisory only:
-     estimates order the pool's execution (LPT), they never influence
-     results, so a stale or missing entry is harmless — but scoping the
-     keys by fingerprint keeps a rebuilt binary from ordering its jobs
-     by a stale binary's clock. *)
-  timings : (string, float) Hashtbl.t;
 }
 
 let schema = "slowcc-result-cache/1"
-let timings_schema = "slowcc-timings/1"
 let entry_suffix = ".entry"
-let timings_file dir = Filename.concat dir "timings.json"
 
 (* The code fingerprint: a digest of the running executable.  Any rebuild
    — engine change, scenario tweak, compiler upgrade — changes it, so no
@@ -35,31 +25,12 @@ let self_fingerprint =
   in
   fun () -> Lazy.force memo
 
-let load_timings dir tbl =
-  let path = timings_file dir in
-  if Sys.file_exists path then
-    match Json.of_string (Table.read_file path) with
-    | Ok doc -> (
-      match (Json.member "schema" doc, Json.member "wall_s" doc) with
-      | Some (Json.String s), Some (Json.Obj fields) when s = timings_schema ->
-        List.iter
-          (fun (key, v) ->
-            match v with
-            | Json.Float w -> Hashtbl.replace tbl key w
-            | Json.Int w -> Hashtbl.replace tbl key (float_of_int w)
-            | _ -> ())
-          fields
-      | _ -> () (* unknown schema: ignore, it will be rewritten *))
-    | Error _ -> () (* corrupt timings are advisory; start fresh *)
-
 let create ?fingerprint ~dir () =
   Table.ensure_dir dir;
   let fingerprint =
     match fingerprint with Some f -> f | None -> self_fingerprint ()
   in
-  let timings = Hashtbl.create 64 in
-  load_timings dir timings;
-  { dir; fingerprint; mutex = Mutex.create (); hits = 0; misses = 0; timings }
+  { dir; fingerprint; mutex = Mutex.create (); hits = 0; misses = 0 }
 
 let dir t = t.dir
 let fingerprint t = t.fingerprint
@@ -226,107 +197,16 @@ let lookup t ~key =
   verdict
 
 (* ------------------------------------------------------------------ *)
-(* Timing feedback                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let estimate t key = locked t (fun () -> Hashtbl.find_opt t.timings key)
-
-(* Timing keys are namespaced by an 8-hex-char fingerprint abbreviation:
-   long enough that two binaries colliding is a non-event (estimates are
-   advisory), short enough to keep timings.json readable. *)
-let fp8 fingerprint =
-  if String.length fingerprint > 8 then String.sub fingerprint 0 8
-  else fingerprint
-
-let timing_key_prefix ~fingerprint ~label =
-  Printf.sprintf "%s:%s#" (fp8 fingerprint) label
-
-let timing_sum t ~label =
-  let prefix = timing_key_prefix ~fingerprint:t.fingerprint ~label in
-  locked t (fun () ->
-      Hashtbl.fold
-        (fun k v acc ->
-          if String.starts_with ~prefix k then
-            Some (v +. Option.value acc ~default:0.)
-          else acc)
-        t.timings None)
-
-let record t key wall_s =
-  if Float.is_finite wall_s && wall_s >= 0. then
-    locked t (fun () -> Hashtbl.replace t.timings key wall_s)
-
-(* Merge-on-save: concurrent processes sharing a cache dir each measure a
-   disjoint (or overlapping) set of jobs.  Writing only the in-memory
-   table would let the last writer discard everyone else's measurements
-   (lost update), so re-read the file first and overlay our entries on
-   top — ours win on conflict, foreign keys survive.  The window between
-   load and rename can still lose a racing writer's very latest numbers,
-   but timings are advisory (they only order execution), so a rare stale
-   estimate is harmless; losing a whole experiment's keys on every run
-   was not. *)
-let save_timings t =
-  let merged = Hashtbl.create 64 in
-  load_timings t.dir merged;
-  locked t (fun () ->
-      Hashtbl.iter (fun k v -> Hashtbl.replace merged k v) t.timings);
-  let fields =
-    Hashtbl.fold (fun k v acc -> (k, Json.Float v) :: acc) merged []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  let doc =
-    Json.Obj
-      [
-        ("schema", Json.String timings_schema); ("wall_s", Json.Obj fields);
-      ]
-  in
-  Table.write_file_atomic (timings_file t.dir) (Json.to_string doc ^ "\n")
-
-(* ------------------------------------------------------------------ *)
-(* Scopes: job-timing namespaces for one experiment run                *)
-(* ------------------------------------------------------------------ *)
-
-type scope = {
-  cache : t;
-  label : string;
-  now : unit -> float;
-  mutable next_job : int;
-}
-
-let scope ?(now = Sys.time) t ~label = { cache = t; label; now; next_job = 0 }
-let scope_cache s = s.cache
-let scope_now s = s.now
-
-(* Contiguous key block for one batch.  Batches submitted sequentially
-   from the coordinating domain get stable keys across runs; nested
-   batches racing from worker domains may permute blocks, which only
-   perturbs estimates, never results. *)
-let alloc_keys s n =
-  let start = locked s.cache (fun () ->
-      let v = s.next_job in
-      s.next_job <- v + n;
-      v)
-  in
-  let prefix =
-    timing_key_prefix ~fingerprint:s.cache.fingerprint ~label:s.label
-  in
-  List.init n (fun i -> Printf.sprintf "%s%d" prefix (start + i))
-
-(* ------------------------------------------------------------------ *)
 (* Directory maintenance (no instance needed)                          *)
 (* ------------------------------------------------------------------ *)
 
-type dir_stats = {
-  entries : int;
-  entry_bytes : int;
-  timing_entries : int;
-  timing_entries_self : int;
-}
+type dir_stats = { entries : int; entry_bytes : int }
 
 let is_entry name = Filename.check_suffix name entry_suffix
 
-let stats ?fingerprint ~dir () =
+let stats ~dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
-    { entries = 0; entry_bytes = 0; timing_entries = 0; timing_entries_self = 0 }
+    { entries = 0; entry_bytes = 0 }
   else begin
     let entries = ref 0 and bytes = ref 0 in
     Array.iter
@@ -341,33 +221,16 @@ let stats ?fingerprint ~dir () =
           | exception Sys_error _ -> ()
         end)
       (Sys.readdir dir);
-    let tbl = Hashtbl.create 16 in
-    load_timings dir tbl;
-    let timing_entries_self =
-      match fingerprint with
-      | None -> 0
-      | Some fp ->
-        let prefix = fp8 fp ^ ":" in
-        Hashtbl.fold
-          (fun k _ acc -> if String.starts_with ~prefix k then acc + 1 else acc)
-          tbl 0
-    in
-    {
-      entries = !entries;
-      entry_bytes = !bytes;
-      timing_entries = Hashtbl.length tbl;
-      timing_entries_self;
-    }
+    { entries = !entries; entry_bytes = !bytes }
   end
 
 type prune_stats = { pruned : int; pruned_bytes : int; kept : int }
 
 (* Age-based eviction for long-lived shared cache dirs.  Only entry files
-   (and stranded atomic-write temps) are candidates; the timing store is
-   tiny and always useful, and foreign files are none of our business.
-   The mtime callback keeps this module unix-free — the CLI passes a
-   Unix.stat wrapper — and a path that cannot be statted (or vanished
-   under a concurrent prune) is simply kept/skipped. *)
+   (and stranded atomic-write temps) are candidates; foreign files are
+   none of our business.  The mtime callback keeps this module unix-free
+   — the CLI passes a Unix.stat wrapper — and a path that cannot be
+   statted (or vanished under a concurrent prune) is simply kept/skipped. *)
 let prune ~dir ~older_than_s ~now ~mtime =
   let acc = { pruned = 0; pruned_bytes = 0; kept = 0 } in
   if not (Sys.file_exists dir && Sys.is_directory dir) then acc
@@ -405,8 +268,6 @@ let clear ~dir =
       (fun name ->
         (* [.tmp] files are stranded atomic-write temps (a writer that
            crashed between create and rename); sweep them too. *)
-        if
-          is_entry name || name = "timings.json"
-          || Filename.check_suffix name ".tmp"
-        then try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
+        if is_entry name || Filename.check_suffix name ".tmp" then
+          try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
       (Sys.readdir dir)

@@ -40,6 +40,16 @@ let list_dir d = try Sys.readdir d with Sys_error _ -> [||]
    requeueing and completion always land back on the same identity. *)
 let base_name ~rank name = Printf.sprintf "%03d-%s" rank name
 
+(* Jobs longest-first by a stable sort, with absent, NaN and infinite
+   estimates as zero: ties and unestimated jobs keep submission order. *)
+let lpt_order jobs =
+  let cost j =
+    match j.est_wall_s with
+    | Some c when Float.is_finite c -> c
+    | Some _ | None -> 0.
+  in
+  List.stable_sort (fun a b -> Float.compare (cost b) (cost a)) jobs
+
 let claim_marker = ".claim."
 
 (* claims/<base>.claim.<worker>.<expiry-ms>: everything recovery needs is
@@ -127,16 +137,12 @@ let seed ~dir ~fingerprint ~quick ~jobs =
       ]
   in
   write_file_atomic t (queue_file dir) (Json.to_string doc ^ "\n");
-  (* The LPT rank of the domain pool's [lpt_order]: a sorted directory
-     scan is the same schedule, one unit at a time. *)
-  let arr = Array.of_list jobs in
-  Array.iteri
-    (fun rank i ->
-      let j = arr.(i) in
+  List.iteri
+    (fun rank j ->
       write_file_atomic t
         (Filename.concat (todo_dir t) (base_name ~rank j.name))
         (Json.to_string ~minify:true (job_json j) ^ "\n"))
-    (Engine.Pool.lpt_order (Array.map (fun j -> j.est_wall_s) arr));
+    (lpt_order jobs);
   t
 
 let load ~dir =

@@ -17,7 +17,7 @@
 
     {v
     <dir>/queue.json                    schema, fingerprint, quick, job list
-    <dir>/todo/NNN-<unit>               claimable (NNN = LPT rank)
+    <dir>/todo/NNN-<unit>               claimable (NNN = seed rank)
     <dir>/claims/NNN-<unit>.claim.<worker>.<expiry-ms>   claimed, leased
     <dir>/done/NNN-<unit>               completion marker (ok or failed)
     v}
@@ -40,7 +40,8 @@ type job = {
   index : int;  (** submission index — the assembly order *)
   name : string;  (** experiment unit id, e.g. ["fig7"] *)
   est_wall_s : float option;
-      (** LPT estimate recorded at seed time, from the timing store *)
+      (** caller-supplied LPT estimate, recorded at seed time; the CLI
+          supplies none *)
 }
 
 type t
@@ -54,10 +55,11 @@ val jobs : t -> job list
 
 (** [seed ~dir ~fingerprint ~quick ~jobs] creates the queue directory
     and one claimable file per [(unit, estimate)] pair.  Claim files are
-    named by longest-processing-time-first rank, so workers scanning the
-    directory in sorted order pick expensive jobs first; ties and absent
-    estimates keep submission order.  Raises [Sys_error] if [dir] already
-    contains a queue. *)
+    named by longest-processing-time-first rank of the caller's
+    estimates, so workers scanning the directory in sorted order pick
+    expensive jobs first; ties and absent estimates keep submission
+    order.  The CLI passes [None] for every unit.  Raises [Sys_error] if
+    [dir] already contains a queue. *)
 val seed :
   dir:string ->
   fingerprint:string ->

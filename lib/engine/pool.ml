@@ -75,36 +75,15 @@ let ensure_workers t batch_size =
 
 type 'r cell = Pending | Done of 'r | Failed of exn * Printexc.raw_backtrace
 
-(* Execution order for a batch given per-job cost estimates: indices
-   sorted longest-first (LPT list scheduling), which minimizes the chance
-   that the longest job starts last and tail-blocks the batch at jobs=N.
-   The sort is stable, so ties — and the all-zero case of absent
-   estimates — degrade to plain submission order.  Estimates only decide
-   the dequeue order; results are still reassembled by original index, so
-   output bytes cannot depend on them. *)
-let lpt_order costs =
-  let n = Array.length costs in
-  let idx = List.init n Fun.id in
-  let cost i =
-    match costs.(i) with
-    | Some c when Float.is_finite c -> c
-    | Some _ | None -> 0. (* missing/NaN/inf estimates schedule as free *)
-  in
-  let ordered = List.stable_sort (fun a b -> Float.compare (cost b) (cost a)) idx in
-  Array.of_list ordered
-
-(* Run an array of thunks, returning results in index order.  [order], if
-   given, is the permutation in which the jobs are enqueued (LPT); result
-   slots stay keyed by the original index.  Results land in distinct array
-   slots; the batch mutex both counts completions and publishes the slot
-   writes to the waiting submitter. *)
-let run_array ?order t thunks =
-  let n = Array.length thunks in
-  if n = 0 then [||]
-  else if t.jobs <= 1 || n = 1 || Domain.DLS.get in_worker then
-    (* Degenerate/inline path: always submission order, which is what the
-       determinism contract is checked against. *)
-    Array.map (fun f -> f ()) thunks
+(* Apply [f] to every element on the pool, returning results in index
+   order.  Results land in distinct array slots; the batch mutex both
+   counts completions and publishes the slot writes to the waiting
+   submitter. *)
+let map_array t f xs =
+  let n = Array.length xs in
+  if t.jobs <= 1 || n <= 1 || Domain.DLS.get in_worker then
+    (* Degenerate/inline path. *)
+    Array.map f xs
   else begin
     let results = Array.make n Pending in
     let remaining = ref n in
@@ -116,24 +95,21 @@ let run_array ?order t thunks =
       invalid_arg "Pool: submission after shutdown"
     end;
     ensure_workers t n;
-    let enqueue i =
-      let f = thunks.(i) in
-      Queue.add
-        (fun () ->
-          let r =
-            try Done (f ())
-            with e -> Failed (e, Printexc.get_raw_backtrace ())
-          in
-          results.(i) <- r;
-          Mutex.lock batch_mutex;
-          decr remaining;
-          if !remaining = 0 then Condition.signal batch_done;
-          Mutex.unlock batch_mutex)
-        t.pending
-    in
-    (match order with
-    | None -> for i = 0 to n - 1 do enqueue i done
-    | Some order -> Array.iter enqueue order);
+    Array.iteri
+      (fun i x ->
+        Queue.add
+          (fun () ->
+            let r =
+              try Done (f x)
+              with e -> Failed (e, Printexc.get_raw_backtrace ())
+            in
+            results.(i) <- r;
+            Mutex.lock batch_mutex;
+            decr remaining;
+            if !remaining = 0 then Condition.signal batch_done;
+            Mutex.unlock batch_mutex)
+          t.pending)
+      xs;
     Condition.broadcast t.has_work;
     Mutex.unlock t.mutex;
     Mutex.lock batch_mutex;
@@ -149,23 +125,7 @@ let run_array ?order t thunks =
       results
   end
 
-let map_list t f xs =
-  match xs with
-  | [] -> []
-  | [ x ] -> [ f x ]
-  | xs ->
-    let arr = Array.of_list xs in
-    Array.to_list (run_array t (Array.map (fun x () -> f x) arr))
-
-let run_jobs t ?cost kjobs =
-  let keys = Array.of_list (List.map fst kjobs) in
-  let order =
-    match cost with
-    | None -> None
-    | Some est -> Some (lpt_order (Array.map est keys))
-  in
-  let results = run_array ?order t (Array.of_list (List.map snd kjobs)) in
-  List.mapi (fun i (k, _) -> (k, results.(i))) kjobs
+let map_list t f xs = Array.to_list (map_array t f (Array.of_list xs))
 
 let shutdown t =
   Mutex.lock t.mutex;

@@ -1,10 +1,10 @@
 (** Fixed-size pool of worker domains with a shared job queue.
 
     Built directly on [Domain]/[Mutex]/[Condition] (no external
-    dependency).  The pool executes batches of independent jobs and
-    reassembles results in submission order, so a caller that seeds each
-    job deterministically gets bit-identical results regardless of the
-    worker count.
+    dependency).  The pool executes batches of independent jobs through
+    {!map_list}: jobs are enqueued, and results reassembled, in
+    submission order, so a caller that seeds each job deterministically
+    gets bit-identical results regardless of the worker count.
 
     Semantics:
     - [jobs = 1] is the degenerate case: no domains are spawned and every
@@ -65,26 +65,6 @@ val jobs : t -> int
 (** [map_list t f xs] applies [f] to every element of [xs] on the pool and
     returns the results in the order of [xs]. *)
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-
-(** [run_jobs t ?cost jobs] runs a keyed batch of thunks and returns
-    [(key, result)] pairs in submission order.
-
-    [cost] is an optional per-key wall-time estimate (seconds, any
-    consistent unit works).  When given, the batch is {e executed}
-    longest-processing-time-first so one long job cannot tail-block the
-    batch at [jobs = N]; results are still reassembled in submission
-    order, so output is byte-identical with or without estimates, at any
-    worker count.  [None], NaN and infinite estimates schedule as
-    zero-cost; ties (and the all-[None] case) fall back to submission
-    order via a stable sort. *)
-val run_jobs :
-  t -> ?cost:('k -> float option) -> ('k * (unit -> 'r)) list -> ('k * 'r) list
-
-(** [lpt_order costs] is the order [run_jobs] executes a batch in: the
-    indices of [costs] sorted longest-first by a stable sort, with
-    [None], NaN and infinite estimates as zero.  The process backend
-    ranks its queue files with it. *)
-val lpt_order : float option array -> int array
 
 (** Signal workers to finish and join them.  Idempotent.  Submitting new
     batches after [shutdown] raises [Invalid_argument]. *)

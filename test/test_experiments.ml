@@ -1,7 +1,7 @@
 (* Experiment runners: analytic figures exactly, table plumbing, naming. *)
 
 let test_fig11_values () =
-  let t = List.hd (Option.get (Slowcc.Experiments.run_by_name "fig11")) in
+  let t = List.hd (Option.get (Slowcc.Experiments.run_cached "fig11")) in
   Alcotest.(check int) "rows" 8 (List.length t.Slowcc.Table.rows);
   (* First row: b = 1/2, acks = log(0.1)/log(0.95) = 44.89 -> "45". *)
   match t.Slowcc.Table.rows with
@@ -11,7 +11,7 @@ let test_fig11_values () =
   | _ -> Alcotest.fail "unexpected shape"
 
 let test_fig20_values () =
-  let t = List.hd (Option.get (Slowcc.Experiments.run_by_name "fig20")) in
+  let t = List.hd (Option.get (Slowcc.Experiments.run_cached "fig20")) in
   (* Row for p = 0.5 must show the Appendix A value 2/3 = 0.6667. *)
   let row =
     List.find (fun row -> List.hd row = "0.5000") t.Slowcc.Table.rows
@@ -59,9 +59,9 @@ let test_save_csv () =
   close_in ic;
   Alcotest.(check string) "header" "a" first
 
-let test_run_by_name_unknown () =
+let test_unknown_experiment () =
   Alcotest.(check bool) "unknown name" true
-    (Slowcc.Experiments.run_by_name "nope" = None)
+    (Slowcc.Experiments.run_cached "nope" = None)
 
 let test_names_resolvable_analytic () =
   (* Every name is in the dispatch table; only run the analytic ones. *)
@@ -71,9 +71,9 @@ let test_names_resolvable_analytic () =
         (List.mem name Slowcc.Experiments.names))
     [ "fig11"; "fig20" ];
   Alcotest.(check bool) "fig11 runs" true
-    (Slowcc.Experiments.run_by_name "fig11" <> None);
+    (Slowcc.Experiments.run_cached "fig11" <> None);
   Alcotest.(check bool) "fig20 runs" true
-    (Slowcc.Experiments.run_by_name "fig20" <> None)
+    (Slowcc.Experiments.run_cached "fig20" <> None)
 
 (* The parameter records as every manifest digest and cache key embeds
    them: a change to these bytes moves every digest and invalidates every
@@ -136,7 +136,7 @@ let suite =
     Alcotest.test_case "number formatting" `Quick test_fnum;
     Alcotest.test_case "to_csv" `Quick test_to_csv;
     Alcotest.test_case "save_csv" `Quick test_save_csv;
-    Alcotest.test_case "unknown experiment" `Quick test_run_by_name_unknown;
+    Alcotest.test_case "unknown experiment" `Quick test_unknown_experiment;
     Alcotest.test_case "names table" `Quick test_names_resolvable_analytic;
     Alcotest.test_case "params bytes" `Quick test_params_bytes;
     Alcotest.test_case "registry ids" `Quick test_registry_ids;

@@ -67,7 +67,6 @@ let test_flow_throughput_validates_interval () =
       pkts_sent = (fun () -> 0);
       bytes_sent = (fun () -> 0.);
       bytes_delivered = (fun () -> 0.);
-      current_rate = (fun () -> 0.);
       srtt = (fun () -> 0.);
       stats =
         Cc.Flow.basic_stats

@@ -1,7 +1,7 @@
 (* The content-addressed result cache: key sensitivity, digest-verified
-   round-trips, self-healing on corruption, the timing store, directory
-   maintenance, and the end-to-end guarantee that a warm run reproduces a
-   cold run's manifest byte-for-byte. *)
+   round-trips, self-healing on corruption, directory maintenance, and
+   the end-to-end guarantee that a warm run reproduces a cold run's
+   manifest and tables byte-for-byte. *)
 
 module Json = Engine.Json
 module Cache = Slowcc.Result_cache
@@ -22,7 +22,11 @@ let fresh_dir =
   fun () ->
     incr n;
     let dir = Printf.sprintf "tmp-result-cache/case%d" !n in
-    Cache.clear ~dir;
+    (* [Cache.clear] would keep foreign files, which some cases write. *)
+    if Sys.file_exists dir then
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
     dir
 
 let params = [ ("alpha", Json.Float 0.5); ("n", Json.Int 4) ]
@@ -133,66 +137,17 @@ let test_corruption_self_heals () =
   Alcotest.(check bool) "re-stored entry hits" true
     (Cache.lookup c ~key <> None)
 
-let test_timing_store () =
-  let dir = fresh_dir () in
-  let c = Cache.create ~dir () in
-  Alcotest.(check (option (float 0.))) "no estimate yet" None
-    (Cache.estimate c "fig7#0");
-  Cache.record c "fig7#0" 1.5;
-  Cache.record c "fig7#1" 0.25;
-  Cache.record c "fig7#0" 2.0 (* latest wins *);
-  Cache.record c "bad" nan;
-  Cache.record c "bad" infinity;
-  Cache.record c "bad" (-1.);
-  Alcotest.(check (option (float 1e-9))) "latest measurement" (Some 2.0)
-    (Cache.estimate c "fig7#0");
-  Alcotest.(check (option (float 1e-9))) "non-finite ignored" None
-    (Cache.estimate c "bad");
-  Cache.save_timings c;
-  let reloaded = Cache.create ~dir () in
-  Alcotest.(check (option (float 1e-9))) "timings survive reload" (Some 0.25)
-    (Cache.estimate reloaded "fig7#1");
-  let s = Cache.stats ~dir () in
-  Alcotest.(check int) "two persisted timings" 2 s.Cache.timing_entries
-
-(* Satellite regression: timing keys carry the code fingerprint, so a
-   stale binary's measurements cannot misorder a rebuilt binary's jobs —
-   the rebuild simply starts with no estimates. *)
-let test_timing_keys_fingerprint_scoped () =
-  let dir = fresh_dir () in
-  let v1 = Cache.create ~fingerprint:"0123456789abcdef" ~dir () in
-  (match Cache.alloc_keys (Cache.scope v1 ~label:"fig7:quick") 2 with
-  | [ k0; k1 ] ->
-    Alcotest.(check string) "keys carry the fp8 prefix"
-      "01234567:fig7:quick#0" k0;
-    Alcotest.(check string) "block is contiguous" "01234567:fig7:quick#1" k1;
-    Cache.record v1 k0 1.5;
-    Cache.record v1 k1 0.5
-  | _ -> Alcotest.fail "expected two keys");
-  Alcotest.(check (option (float 1e-9))) "timing_sum totals the unit"
-    (Some 2.0)
-    (Cache.timing_sum v1 ~label:"fig7:quick");
-  Alcotest.(check (option (float 1e-9))) "other labels stay empty" None
-    (Cache.timing_sum v1 ~label:"fig7");
-  Cache.save_timings v1;
-  let v2 = Cache.create ~fingerprint:"fedcba9876543210" ~dir () in
-  Alcotest.(check (option (float 1e-9))) "a rebuild starts cold" None
-    (Cache.timing_sum v2 ~label:"fig7:quick");
-  (match Cache.alloc_keys (Cache.scope v2 ~label:"fig7:quick") 1 with
-  | [ k ] ->
-    Alcotest.(check (option (float 1e-9)))
-      "no stale estimate under the new fingerprint" None (Cache.estimate v2 k)
-  | _ -> Alcotest.fail "expected one key");
-  let s = Cache.stats ~fingerprint:"0123456789abcdef" ~dir () in
-  Alcotest.(check int) "both timings persisted" 2 s.Cache.timing_entries;
-  Alcotest.(check int) "full coverage for the measuring binary" 2
-    s.Cache.timing_entries_self;
-  let s' = Cache.stats ~fingerprint:"fedcba9876543210" ~dir () in
-  Alcotest.(check int) "zero coverage for the rebuild" 0
-    s'.Cache.timing_entries_self
+(* A file an older binary's timing store left behind: foreign to this
+   cache, so [prune] and [clear] must leave it alone. *)
+let old_timings dir =
+  let path = Filename.concat dir "timings.json" in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc
+        "{\"schema\": \"slowcc-timings/1\", \"wall_s\": {}}\n");
+  path
 
 (* Satellite: age-based pruning deletes only entries past the cutoff and
-   never touches the timing store. *)
+   never touches foreign files. *)
 let test_prune_by_age () =
   let dir = fresh_dir () in
   let c = Cache.create ~dir () in
@@ -200,14 +155,12 @@ let test_prune_by_age () =
   let key_b = Cache.key c ~experiment:"figB" ~quick:true ~params in
   Cache.store c ~key:key_a ~experiment:"figA" ~quick:true [ sample ];
   Cache.store c ~key:key_b ~experiment:"figB" ~quick:true [ second ];
-  Cache.record c "figA#0" 1.0;
-  Cache.save_timings c;
-  (* Simulated clock: A is 100 s old, B is 10 s old; cutoff at 50 s. *)
+  let timings = old_timings dir in
+  (* Simulated clock: A and the foreign file are 100 s old, B is 10 s
+     old; cutoff at 50 s. *)
   let now = 1000. in
   let mtime path =
-    if find_sub path key_a >= 0 then Some (now -. 100.)
-    else if find_sub path key_b >= 0 then Some (now -. 10.)
-    else Some now
+    if find_sub path key_b >= 0 then Some (now -. 10.) else Some (now -. 100.)
   in
   let s = Cache.prune ~dir ~older_than_s:50. ~now ~mtime in
   Alcotest.(check int) "one entry pruned" 1 s.Cache.pruned;
@@ -216,61 +169,29 @@ let test_prune_by_age () =
   Alcotest.(check bool) "old entry gone" true (Cache.lookup c ~key:key_a = None);
   Alcotest.(check bool) "young entry survives" true
     (Cache.lookup c ~key:key_b <> None);
-  Alcotest.(check int) "timing store untouched" 1
-    (Cache.stats ~dir ()).Cache.timing_entries
-
-(* Regression: two runs sharing a cache dir used to lose timings — each
-   [save_timings] wrote only its own in-memory table, so the second save
-   clobbered the first's measurements (and both used the same temp file
-   name, racing the rename).  Saves now merge with the on-disk store. *)
-let test_timing_saves_merge () =
-  let dir = fresh_dir () in
-  let a = Cache.create ~dir () in
-  let b = Cache.create ~dir () in
-  Cache.record a "fig1#0" 1.0;
-  Cache.record a "shared#0" 1.0;
-  Cache.record b "fig2#0" 2.0;
-  Cache.record b "shared#0" 3.0;
-  Cache.save_timings a;
-  Cache.save_timings b;
-  let c = Cache.create ~dir () in
-  Alcotest.(check (option (float 1e-9))) "a's entry survives b's save"
-    (Some 1.0) (Cache.estimate c "fig1#0");
-  Alcotest.(check (option (float 1e-9))) "b's entry present" (Some 2.0)
-    (Cache.estimate c "fig2#0");
-  Alcotest.(check (option (float 1e-9))) "later saver wins on conflict"
-    (Some 3.0) (Cache.estimate c "shared#0");
-  (* No temp droppings left behind. *)
-  Array.iter
-    (fun f ->
-      Alcotest.(check bool)
-        (Printf.sprintf "no stray temp file %s" f)
-        false
-        (Filename.check_suffix f ".tmp"))
-    (Sys.readdir dir)
+  Alcotest.(check bool) "old timings.json untouched" true
+    (Sys.file_exists timings)
 
 let test_stats_and_clear () =
   let dir = fresh_dir () in
-  let s0 = Cache.stats ~dir () in
+  let s0 = Cache.stats ~dir in
   Alcotest.(check int) "missing dir reads empty" 0 s0.Cache.entries;
   let c = Cache.create ~dir () in
   let key = Cache.key c ~experiment:"fig0" ~quick:true ~params in
   Cache.store c ~key ~experiment:"fig0" ~quick:true [ sample ];
-  Cache.record c "fig0#0" 1.0;
-  Cache.save_timings c;
-  (* A foreign file must survive [clear]. *)
+  (* Foreign files must survive [clear]. *)
   Out_channel.with_open_bin (Filename.concat dir "README") (fun oc ->
       Out_channel.output_string oc "not a cache entry\n");
-  let s1 = Cache.stats ~dir () in
+  let timings = old_timings dir in
+  let s1 = Cache.stats ~dir in
   Alcotest.(check int) "one entry" 1 s1.Cache.entries;
   Alcotest.(check bool) "entry bytes counted" true (s1.Cache.entry_bytes > 0);
-  Alcotest.(check int) "one timing" 1 s1.Cache.timing_entries;
   Cache.clear ~dir;
-  let s2 = Cache.stats ~dir () in
+  let s2 = Cache.stats ~dir in
   Alcotest.(check int) "entries cleared" 0 s2.Cache.entries;
-  Alcotest.(check int) "timings cleared" 0 s2.Cache.timing_entries;
   Alcotest.(check bool) "foreign file kept" true
-    (Sys.file_exists (Filename.concat dir "README"))
+    (Sys.file_exists (Filename.concat dir "README"));
+  Alcotest.(check bool) "old timings.json kept" true (Sys.file_exists timings)
 
 (* Satellite regression: the combined "all" record embeds one parameter
    object per experiment, so per-figure provenance (e.g. fig7's scenario
@@ -293,9 +214,20 @@ let test_all_params_embed_figures () =
   Alcotest.(check bool) "fig7 params visible in an 'all' manifest" true
     (find_sub rendered "bandwidth_bps" >= 0)
 
-(* End to end: running the same experiment twice against one cache
-   directory must (a) hit on the second run, (b) write byte-identical
-   run sections and manifest digests, and (c) match a --no-cache run. *)
+let member_path doc path =
+  List.fold_left (fun v k -> Option.bind v (Json.member k)) (Some doc) path
+
+let read_json path =
+  match Json.of_string (Table.read_file path) with
+  | Ok doc -> doc
+  | Error e -> Alcotest.failf "%s: %s" path e
+
+(* End to end: running a simulated experiment twice against one cache
+   directory on two domains must (a) leave only entries in the cache
+   directory, (b) miss cold and hit warm, as the manifests' non-digested
+   cache records show, (c) write byte-identical run sections, manifest
+   digests and table files, and (d) match a run without a cache, whose
+   manifest has no cache record. *)
 let test_warm_run_reproduces_cold () =
   let dir = fresh_dir () in
   let cache = Cache.create ~dir () in
@@ -303,37 +235,52 @@ let test_warm_run_reproduces_cold () =
     Engine.Pool.with_pool ~jobs:2 (fun pool ->
         match
           Slowcc.Experiments.run_to_dir ~quick:true ~pool ?cache
-            ~emit:Manifest.Both ~dir:out ~jobs:2 "fig20"
+            ~emit:Manifest.Both ~dir:out ~jobs:2 "fig7"
         with
-        | Some (manifest, tables) -> (manifest, tables)
-        | None -> Alcotest.fail "fig20 not found")
+        | Some (manifest, _) -> read_json manifest
+        | None -> Alcotest.fail "fig7 not found")
   in
-  let m_cold, t_cold = run ~cache:(Some cache) ~out:"tmp-result-cache/cold" in
-  Alcotest.(check (pair int int)) "cold run misses" (0, 1)
-    (Cache.hits cache, Cache.misses cache);
-  let m_warm, t_warm = run ~cache:(Some cache) ~out:"tmp-result-cache/warm" in
-  Alcotest.(check (pair int int)) "warm run all-hits" (1, 1)
-    (Cache.hits cache, Cache.misses cache);
-  let m_fresh, t_fresh = run ~cache:None ~out:"tmp-result-cache/fresh" in
-  let section tables =
-    Json.to_string
-      (Manifest.run_section ~experiment:"fig20" ~quick:true
-         ~params:(Slowcc.Experiments.params ~quick:true "fig20")
-         ~tables)
+  let cold = run ~cache:(Some cache) ~out:"tmp-result-cache/cold" in
+  Alcotest.(check (list string))
+    "only .entry files after a cold run" []
+    (Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> not (Filename.check_suffix f ".entry")));
+  let warm = run ~cache:(Some cache) ~out:"tmp-result-cache/warm" in
+  let fresh = run ~cache:None ~out:"tmp-result-cache/fresh" in
+  let show = Option.fold ~none:"none" ~some:(Json.to_string ~minify:true) in
+  let cache_record m = show (member_path m [ "timing"; "cache" ]) in
+  let expected hits misses =
+    show
+      (Some
+         (Json.Obj
+            [
+              ("hits", Json.Int hits);
+              ("misses", Json.Int misses);
+              ("fingerprint", Json.String (Cache.fingerprint cache));
+            ]))
   in
-  Alcotest.(check string) "warm run section byte-identical"
-    (section t_cold) (section t_warm);
-  Alcotest.(check string) "uncached run section byte-identical"
-    (section t_cold) (section t_fresh);
-  match
-    ( Manifest.digest_of_file m_cold,
-      Manifest.digest_of_file m_warm,
-      Manifest.digest_of_file m_fresh )
-  with
-  | Some d1, Some d2, Some d3 ->
-    Alcotest.(check string) "warm manifest digest identical" d1 d2;
-    Alcotest.(check string) "uncached manifest digest identical" d1 d3
-  | _ -> Alcotest.fail "digest missing from a manifest"
+  Alcotest.(check string) "cold run misses once" (expected 0 1)
+    (cache_record cold);
+  Alcotest.(check string) "warm run hits once" (expected 1 0)
+    (cache_record warm);
+  Alcotest.(check string) "uncached run has no cache record" "none"
+    (cache_record fresh);
+  List.iter
+    (fun key ->
+      let field m = show (Json.member key m) in
+      Alcotest.(check string) (key ^ " identical warm") (field cold) (field warm);
+      Alcotest.(check string) (key ^ " identical uncached") (field cold)
+        (field fresh))
+    [ "digest"; "run" ];
+  List.iter
+    (fun name ->
+      let read out = Table.read_file (Filename.concat out name) in
+      let c = read "tmp-result-cache/cold" in
+      Alcotest.(check string) (name ^ " identical warm") c
+        (read "tmp-result-cache/warm");
+      Alcotest.(check string) (name ^ " identical uncached") c
+        (read "tmp-result-cache/fresh"))
+    [ "fig7.csv"; "fig7.jsonl" ]
 
 (* Property: [Table.of_jsonl] inverts [Table.to_jsonl] exactly —
    [Manifest.table_digest] is preserved byte-for-byte — over randomized
@@ -380,11 +327,7 @@ let suite =
       test_fingerprint_invalidates;
     Alcotest.test_case "corruption self-heals" `Quick
       test_corruption_self_heals;
-    Alcotest.test_case "timing store" `Quick test_timing_store;
-    Alcotest.test_case "timing keys fingerprint-scoped" `Quick
-      test_timing_keys_fingerprint_scoped;
     Alcotest.test_case "prune by age" `Quick test_prune_by_age;
-    Alcotest.test_case "timing saves merge" `Quick test_timing_saves_merge;
     Alcotest.test_case "stats and clear" `Quick test_stats_and_clear;
     Alcotest.test_case "'all' params embed figures" `Quick
       test_all_params_embed_figures;

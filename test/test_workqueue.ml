@@ -221,7 +221,7 @@ let test_proc_sweep_byte_identical () =
   let units = [ "fig11"; "fig20" ] in
   let serial =
     List.concat_map
-      (fun u -> Option.get (Slowcc.Experiments.run_by_name ~quick:true u))
+      (fun u -> Option.get (Slowcc.Experiments.run_cached ~quick:true u))
       units
   in
   let qdir = Filename.concat dir "queue" in
@@ -248,8 +248,7 @@ let test_proc_sweep_byte_identical () =
     List.concat_map
       (fun u ->
         Option.get
-          (Slowcc.Experiments.run_cached ~quick:true ~cache
-             ~now:Unix.gettimeofday u))
+          (Slowcc.Experiments.run_cached ~quick:true ~cache u))
       units
   in
   Alcotest.(check (pair int int)) "assembly is pure cache hits" (2, 0)
@@ -329,7 +328,7 @@ let run_child mode =
          ~run:(fun (j : Wq.job) ->
            match
              Slowcc.Experiments.run_cached ~quick:(Wq.quick q) ~cache
-               ~now:Unix.gettimeofday j.Wq.name
+               j.Wq.name
            with
            | Some _ -> ()
            | None -> failwith ("unknown unit " ^ j.Wq.name)))
