@@ -178,11 +178,11 @@ let poll_arg =
         ~doc:"Idle polling interval for process-backend workers and the \
               coordinator's completion tail.")
 
-(* Seed a queue over [units], run workers until it drains, then hand
-   control back to [assemble] — which replays every unit through the now-
-   populated cache (byte-identical to a serial run by construction) and
-   recomputes any unit whose worker failed.  The queue is deleted after a
-   successful assembly. *)
+(* Seed a queue over [units] (the ones the cache lacks), run workers
+   until it drains, then hand control back to [assemble] — which replays
+   every unit through the now-populated cache (byte-identical to a serial
+   run by construction) and recomputes any unit whose worker failed.  The
+   queue is deleted after a successful assembly. *)
 let with_proc_backend ~quick ~jobs ~workers ~lease_s ~poll_s ~cache ~units
     assemble =
   let now () = Unix.gettimeofday () in
@@ -381,13 +381,16 @@ let run_experiment verbose quick jobs out_dir emit cache_dir no_cache backend
                     results live there)@.";
     2
   | Engine.Pool.Procs, Some cache -> (
-    match Slowcc.Experiments.units name with
-    | [] -> unknown ()
-    | units ->
+    let assemble () =
+      Engine.Pool.with_pool ~jobs (fun pool ->
+          finish ~backend:(Some "proc") pool)
+    in
+    match Slowcc.Experiments.uncached_units ~quick cache name with
+    | None -> unknown ()
+    | Some [] -> assemble ()
+    | Some units ->
       with_proc_backend ~quick ~jobs ~workers ~lease_s ~poll_s ~cache ~units
-        (fun () ->
-          Engine.Pool.with_pool ~jobs (fun pool ->
-              finish ~backend:(Some "proc") pool)))
+        assemble)
 
 let experiment_term verbose experiment =
   Term.(
@@ -642,9 +645,9 @@ let fuzz_cmd =
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:
-         "Differential fuzzing: random scenarios cross-checked across \
-          allocation and worker-domain axes under the audit layer; \
-          failures are shrunk to minimal replayable reproducers")
+         "Differential fuzzing: random scenarios cross-checked with the \
+          audit layer on and off and across worker domains; failures are \
+          shrunk to minimal replayable reproducers")
     Term.(
       const run $ verbose_arg $ quick_arg $ jobs_arg $ seeds_arg $ replay_arg
       $ out_arg)

@@ -360,15 +360,14 @@ let on_rto t =
   end
 
 let handle_ack t (pkt : Netsim.Packet.t) =
-  (if t.running then
-     match pkt.Netsim.Packet.payload with
-     | Netsim.Packet.Ack { cum_seq; sack = _ } ->
-       if cum_seq > t.snd_una then on_new_ack t cum_seq
-       else if cum_seq = t.snd_una && t.snd_una < t.snd_nxt then on_dup_ack t
-     | Netsim.Packet.Plain | Netsim.Packet.Rap_ack _ | Netsim.Packet.Tfrc_data _
-     | Netsim.Packet.Tfrc_fb _ | Netsim.Packet.Tear_fb _ ->
-       ());
-  Netsim.Packet.release pkt
+  if t.running then
+    match pkt.Netsim.Packet.payload with
+    | Netsim.Packet.Ack { cum_seq; sack = _ } ->
+      if cum_seq > t.snd_una then on_new_ack t cum_seq
+      else if cum_seq = t.snd_una && t.snd_una < t.snd_nxt then on_dup_ack t
+    | Netsim.Packet.Plain | Netsim.Packet.Rap_ack _ | Netsim.Packet.Tfrc_data _
+    | Netsim.Packet.Tfrc_fb _ | Netsim.Packet.Tear_fb _ ->
+      ()
 
 let create ~sim ~src ~dst ~flow ~pkt_size =
   let sink =

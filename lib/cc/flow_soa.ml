@@ -553,24 +553,21 @@ let on_ecn t i =
 
 let handle_ack t (pkt : Netsim.Packet.t) =
   let i = pkt.Netsim.Packet.flow - t.base in
-  (if get_flag t i f_running then
-     match pkt.Netsim.Packet.payload with
-     | Netsim.Packet.Ack { cum_seq; sack } ->
-       if t.cfg.Window_cc.sack then merge_sack t i sack;
-       if pkt.Netsim.Packet.ecn then on_ecn t i;
-       if cum_seq > iget t I.una i then on_new_ack t i cum_seq
-       else if cum_seq = iget t I.una i && iget t I.una i < iget t I.nxt i then
-         on_dup_ack t i
-       (* cum_seq < snd_una: a stale ack from before a timeout's go-back-N
-          rewind.  It carries no information about the current window and
-          must not count towards the three-dupack threshold. *)
-     | Netsim.Packet.Plain | Netsim.Packet.Rap_ack _
-     | Netsim.Packet.Tfrc_data _ | Netsim.Packet.Tfrc_fb _
-     | Netsim.Packet.Tear_fb _ ->
-       ());
-  (* The engine is the sole consumer of its sink's pooled acks; nothing
-     above retains the packet or its sack list past this point. *)
-  Netsim.Packet.release pkt
+  if get_flag t i f_running then
+    match pkt.Netsim.Packet.payload with
+    | Netsim.Packet.Ack { cum_seq; sack } ->
+      if t.cfg.Window_cc.sack then merge_sack t i sack;
+      if pkt.Netsim.Packet.ecn then on_ecn t i;
+      if cum_seq > iget t I.una i then on_new_ack t i cum_seq
+      else if cum_seq = iget t I.una i && iget t I.una i < iget t I.nxt i then
+        on_dup_ack t i
+      (* cum_seq < snd_una: a stale ack from before a timeout's go-back-N
+         rewind.  It carries no information about the current window and
+         must not count towards the three-dupack threshold. *)
+    | Netsim.Packet.Plain | Netsim.Packet.Rap_ack _
+    | Netsim.Packet.Tfrc_data _ | Netsim.Packet.Tfrc_fb _
+    | Netsim.Packet.Tear_fb _ ->
+      ()
 
 (* --- sink ------------------------------------------------------------- *)
 
@@ -604,11 +601,13 @@ let sack_blocks t i =
   | s -> [ (s, s + 1) ]
 
 let send_ack t i =
+  let sack = if t.cfg.Window_cc.sack then sack_blocks t i else [] in
   let ack =
-    Netsim.Packet.alloc_ack ~size:Sink.ack_size ~flow:(flow_id t i)
+    Netsim.Packet.make ~size:Sink.ack_size ~flow:(flow_id t i)
       ~src:(Netsim.Node.id t.dst) ~dst:(Netsim.Node.id t.src)
-      ~cum_seq:(iget t I.next_expected i)
-      ~sack:(if t.cfg.Window_cc.sack then sack_blocks t i else [])
+      ~payload:
+        (Netsim.Packet.Ack { cum_seq = iget t I.next_expected i; sack })
+      ()
   in
   ack.Netsim.Packet.ecn <- get_flag t i f_ecn;
   set_flag t i f_ecn false;

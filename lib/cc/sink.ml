@@ -16,9 +16,10 @@ type t = {
 
 let send_ack t =
   let ack =
-    Netsim.Packet.alloc_ack ~size:ack_size ~flow:t.flow
+    Netsim.Packet.make ~size:ack_size ~flow:t.flow
       ~src:(Netsim.Node.id t.node) ~dst:t.peer
-      ~cum_seq:t.next_expected ~sack:[]
+      ~payload:(Netsim.Packet.Ack { cum_seq = t.next_expected; sack = [] })
+      ()
   in
   ack.Netsim.Packet.ecn <- t.last_ecn;
   t.last_ecn <- false;

@@ -115,15 +115,18 @@ let send_feedback r =
     else p
   in
   let pkt =
-    Netsim.Packet.alloc_tfrc_fb ~size:40 ~flow:r.r_flow
+    Netsim.Packet.make ~size:40 ~flow:r.r_flow
       ~src:(Netsim.Node.id r.r_node) ~dst:r.r_peer
-      {
-        Netsim.Packet.loss_event_rate = p;
-        recv_rate = r.recv_rate_estimate;
-        timestamp_echo = r.last_ts;
-        delay_echo = now -. r.last_ts_arrival;
-        new_loss = r.new_loss_pending;
-      }
+      ~payload:
+        (Netsim.Packet.Tfrc_fb
+           {
+             loss_event_rate = p;
+             recv_rate = r.recv_rate_estimate;
+             timestamp_echo = r.last_ts;
+             delay_echo = now -. r.last_ts_arrival;
+             new_loss = r.new_loss_pending;
+           })
+      ()
   in
   Netsim.Node.inject r.r_node pkt;
   r.new_loss_pending <- false;
@@ -269,15 +272,12 @@ let on_feedback t (fb : Netsim.Packet.tfrc_feedback) =
   restart_nofb t
 
 let handle_fb t (pkt : Netsim.Packet.t) =
-  (if t.running then
-     match pkt.Netsim.Packet.payload with
-     | Netsim.Packet.Tfrc_fb fb -> on_feedback t fb
-     | Netsim.Packet.Plain | Netsim.Packet.Ack _ | Netsim.Packet.Rap_ack _
-     | Netsim.Packet.Tfrc_data _ | Netsim.Packet.Tear_fb _ ->
-       ());
-  (* Sole consumer of the receiver's pooled feedback shells; the payload
-     record itself is fresh per feedback and not recycled. *)
-  Netsim.Packet.release pkt
+  if t.running then
+    match pkt.Netsim.Packet.payload with
+    | Netsim.Packet.Tfrc_fb fb -> on_feedback t fb
+    | Netsim.Packet.Plain | Netsim.Packet.Ack _ | Netsim.Packet.Rap_ack _
+    | Netsim.Packet.Tfrc_data _ | Netsim.Packet.Tear_fb _ ->
+      ()
 
 let create ~sim ~src ~dst ~flow cfg =
   let receiver =

@@ -261,16 +261,15 @@ let on_dup_ack t =
   end
 
 let handle_ack t (pkt : Netsim.Packet.t) =
-  (if t.running then
-     match pkt.Netsim.Packet.payload with
-     | Netsim.Packet.Ack { cum_seq; sack = _ } ->
-       if cum_seq > t.snd_una then on_new_ack t cum_seq
-       else if cum_seq = t.snd_una && t.snd_una < t.snd_nxt then on_dup_ack t
-       (* cum_seq < snd_una: stale ack from before a go-back-N rewind. *)
-     | Netsim.Packet.Plain | Netsim.Packet.Rap_ack _ | Netsim.Packet.Tfrc_data _
-     | Netsim.Packet.Tfrc_fb _ | Netsim.Packet.Tear_fb _ ->
-       ());
-  Netsim.Packet.release pkt
+  if t.running then
+    match pkt.Netsim.Packet.payload with
+    | Netsim.Packet.Ack { cum_seq; sack = _ } ->
+      if cum_seq > t.snd_una then on_new_ack t cum_seq
+      else if cum_seq = t.snd_una && t.snd_una < t.snd_nxt then on_dup_ack t
+      (* cum_seq < snd_una: stale ack from before a go-back-N rewind. *)
+    | Netsim.Packet.Plain | Netsim.Packet.Rap_ack _ | Netsim.Packet.Tfrc_data _
+    | Netsim.Packet.Tfrc_fb _ | Netsim.Packet.Tear_fb _ ->
+      ()
 
 let create ~sim ~src ~dst ~flow cfg =
   if cfg.alpha < 0. || cfg.beta < cfg.alpha then

@@ -1147,8 +1147,15 @@ let units_of name =
   if String.equal name all_id then Some (registry ())
   else Option.map (fun e -> [ e ]) (lookup name)
 
-let units name =
-  Option.fold ~none:[] ~some:(List.map (fun e -> e.id)) (units_of name)
+let unit_key ~quick cache e =
+  Result_cache.key cache ~experiment:e.id ~quick ~params:(e.params ~quick)
+
+let uncached_units ~quick cache name =
+  Option.map
+    (List.filter_map (fun e ->
+         if Result_cache.mem cache ~key:(unit_key ~quick cache e) then None
+         else Some e.id))
+    (units_of name)
 
 (* ------------------------------------------------------------------ *)
 (* Manifested and cached runs                                          *)
@@ -1172,9 +1179,7 @@ let run_unit ~quick ?pool ?cache e =
   match cache with
   | None -> e.run ~quick ~pool
   | Some cache -> (
-    let key =
-      Result_cache.key cache ~experiment:e.id ~quick ~params:(e.params ~quick)
-    in
+    let key = unit_key ~quick cache e in
     match Result_cache.lookup cache ~key with
     | Some tables -> tables
     | None ->

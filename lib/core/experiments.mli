@@ -26,9 +26,12 @@ val names : string list
     unit. *)
 val all_units : string list
 
-(** The units an id runs: the one unit that answers it, {!all_units}
-    for ["all"], and [[]] for an unknown id. *)
-val units : string -> string list
+(** The units an id runs (the one unit that answers it, {!all_units}
+    for ["all"]) that have no entry in [cache], or [None] for an unknown
+    id.  These are the jobs of a process-backend sweep; an entry that
+    exists is verified later, when {!run_cached} reads it. *)
+val uncached_units :
+  quick:bool -> Result_cache.t -> string -> string list option
 
 (** Scenario parameters recorded in a run manifest for the named
     experiment (empty for unknown names and parameter-free tables).  The

@@ -307,14 +307,14 @@ let trace_of sc b =
 
 let digest_of sc = Digest.to_hex (Digest.string (trace_of sc (build sc)))
 
-(* Baseline leg: pooled shells, full auditing, plus end-of-run sweeps —
-   per-link conservation and a per-flow data-packet balance (every data
-   packet sent is delivered, dropped, or still in the network; a negative
+(* Baseline leg: full auditing, plus end-of-run sweeps — per-link
+   conservation and a per-flow data-packet balance (every data packet
+   sent is delivered, dropped, or still in the network; a negative
    residue means a packet was double-counted). *)
 let pkt_size = 1000.
 
 let audited_digest sc =
-  Engine.Audit.with_flags ~lifetime:true ~invariants:true (fun () ->
+  Engine.Audit.with_flags ~invariants:true (fun () ->
       match
         let b = build sc in
         let n = List.length b.flows in
@@ -346,24 +346,18 @@ let audited_digest sc =
       | trace -> Ok (Digest.to_hex (Digest.string trace))
       | exception Engine.Audit.Violation msg -> Error msg)
 
-let with_pooling enabled f =
-  let saved = Netsim.Packet.pooling () in
-  Netsim.Packet.set_pooling enabled;
-  Fun.protect
-    ~finally:(fun () -> Netsim.Packet.set_pooling saved)
-    f
-
 (* ------------------------------------------------------------------ *)
 (* Differential check                                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* [check ?pool sc] returns [None] when every leg agrees and no invariant
    fires, otherwise a description of the first failure.  Legs:
-   1. audited baseline (pooled, invariants+lifetime);
-   2. fresh allocation (pooling off);
+   1. audited baseline (every check on);
+   2. the same run with auditing off, so a checkpoint that perturbs the
+      run shows as a divergence;
    3. the same run inside a pool worker domain (when [pool] has > 1
-      workers) — exercises the per-domain freelists and shared memo
-      caches the parallel sweeps rely on. *)
+      workers) — exercises the worker domains and shared memo caches
+      the parallel sweeps rely on. *)
 let check ?pool sc =
   match audited_digest sc with
   | Error msg -> Some (Printf.sprintf "invariant violation: %s" msg)
@@ -376,8 +370,9 @@ let check ?pool sc =
              axis digest)
       else None
     in
-    let check_fresh () =
-      differs "allocation=fresh" (with_pooling false (fun () -> digest_of sc))
+    let check_unaudited () =
+      differs "audit=off"
+        (Engine.Audit.with_flags ~invariants:false (fun () -> digest_of sc))
     in
     let check_jobs () =
       match pool with
@@ -391,7 +386,7 @@ let check ?pool sc =
       | _ -> None
     in
     let ( <|> ) a b = match a with Some _ -> a | None -> b () in
-    check_fresh () <|> check_jobs
+    check_unaudited () <|> check_jobs
 
 (* ------------------------------------------------------------------ *)
 (* Shrinking                                                           *)
@@ -494,7 +489,7 @@ let run_seeds ?pool ?(quick = false) ?out_dir ?(log = fun _ -> ())
        Fully audited like the baseline leg, so the RTO wheel's pop-order
        check runs on every seed. *)
     (match
-       Engine.Audit.with_flags ~lifetime:true ~invariants:true (fun () ->
+       Engine.Audit.with_flags ~invariants:true (fun () ->
            try Manyflow.fuzz_check ~quick seed
            with Engine.Audit.Violation msg ->
              Some ("invariant violation: " ^ msg))

@@ -1,10 +1,10 @@
 (** Differential scenario fuzzer.
 
     Generates random small dumbbell / parking-lot scenarios and runs each
-    one three ways — audited baseline, pooling disabled (fresh shells),
-    and inside a worker domain of a {!Engine.Pool} — checking that all
-    legs produce byte-identical end-state traces and that no
-    {!Engine.Audit} invariant fires.  Failing scenarios are greedily
+    one three ways — audited baseline, unaudited ([audit=off]), and
+    inside a worker domain of a {!Engine.Pool} — checking that all legs
+    produce byte-identical end-state traces and that no {!Engine.Audit}
+    invariant fires.  Failing scenarios are greedily
     shrunk to a minimal reproducer and can be saved as replayable JSON
     manifests. *)
 

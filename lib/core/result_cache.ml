@@ -65,6 +65,7 @@ let key t ~experiment ~quick ~params =
   Digest.to_hex (Digest.string (Json.to_string ~minify:true doc))
 
 let entry_path t key = Filename.concat t.dir (key ^ entry_suffix)
+let mem t ~key = Sys.file_exists (entry_path t key)
 
 (* ------------------------------------------------------------------ *)
 (* Entries                                                             *)

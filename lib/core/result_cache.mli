@@ -48,6 +48,10 @@ val key :
   params:(string * Engine.Json.t) list ->
   string
 
+(** Whether an entry exists under [key]; unlike {!lookup} it neither
+    verifies nor counts it. *)
+val mem : t -> key:string -> bool
+
 (** [lookup t ~key] returns the stored tables after verifying every
     per-table digest; a corrupt or truncated entry is deleted and
     reported as a miss. *)

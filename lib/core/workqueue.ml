@@ -92,7 +92,11 @@ let sanitize_worker s =
   in
   if s = "" then "worker" else s
 
-let ms_of_s s = int_of_float (Float.round (s *. 1000.))
+(* Saturates at [max_int]: past about 4.6e15 s [int_of_float] leaves the
+   int range, and a wrapped expiry would read as already past. *)
+let ms_of_s s =
+  let ms = Float.round (s *. 1000.) in
+  if ms >= Float.of_int max_int then max_int else int_of_float ms
 
 (* ------------------------------------------------------------------ *)
 (* Seeding and loading                                                 *)

@@ -1,25 +1,20 @@
-(* Opt-in invariant checking.  Two independent switches:
+(* Opt-in invariant checking: structural conservation laws checked at
+   per-packet checkpoints (link counters, queue occupancy, monotone event
+   times, FIFO order at equal timestamps).
 
-   - [invariants]: structural conservation laws checked at per-packet
-     checkpoints (link counters, queue occupancy, monotone event times,
-     FIFO order at equal timestamps).
-   - [lifetime]: pooled packet-shell lifecycle (use-after-release,
-     double-release, dirty reuse of recycled shells).
+   Compiled in unconditionally but gated on one mutable bool read, so the
+   cost when off is a single load-and-branch per checkpoint — no
+   closures, no allocation.  Checks themselves never mutate simulation
+   state, schedule events or draw random numbers, so enabling them
+   cannot perturb results: a run with auditing on is byte-identical to
+   the same run with auditing off (the fuzzer and test/cli's audited
+   fig7 pin assert this).
 
-   Both are compiled in unconditionally but gated on one mutable record
-   read, so the cost when off is a single load-and-branch per checkpoint
-   — no closures, no allocation.  Checks themselves never mutate
-   simulation state, schedule events or draw random numbers, so enabling
-   them cannot perturb results: a run with auditing on is byte-identical
-   to the same run with auditing off (CI asserts this on fig7).
-
-   The switches are plain (non-atomic) bools: they are set before a run
+   The switch is a plain (non-atomic) bool: it is set before a run
    starts and only read afterwards, including by pool worker domains
    that are spawned after the write. *)
 
-type flags = { mutable lifetime : bool; mutable invariants : bool }
-
-let flags = { lifetime = false; invariants = false }
+let invariants = ref false
 
 exception Violation of string
 
@@ -38,37 +33,26 @@ let fail fmt =
       raise (Violation msg))
     fmt
 
-let[@inline] lifetime_on () = flags.lifetime
-let[@inline] invariants_on () = flags.invariants
-let set_lifetime b = flags.lifetime <- b
-let set_invariants b = flags.invariants <- b
+let[@inline] invariants_on () = !invariants
+let disable_all () = invariants := false
 
-let enable_all () =
-  flags.lifetime <- true;
-  flags.invariants <- true
-
-let disable_all () =
-  flags.lifetime <- false;
-  flags.invariants <- false
-
-(* "off"/"0"/"" → nothing; "1"/"on"/"all" → both; otherwise a
-   comma-separated subset of {lifetime, invariants}.  Unknown tokens
-   warn rather than raise: a typo in an env var must not abort a run. *)
+(* "off"/"0"/"" → nothing; "1"/"on"/"all" → every check; otherwise a
+   comma-separated list of family names.  Unknown tokens warn rather
+   than raise: a typo in an env var must not abort a run. *)
 let apply_spec spec =
   match String.lowercase_ascii (String.trim spec) with
   | "" | "0" | "off" | "none" -> disable_all ()
-  | "1" | "on" | "all" -> enable_all ()
+  | "1" | "on" | "all" -> invariants := true
   | s ->
     String.split_on_char ',' s
     |> List.iter (fun tok ->
            match String.trim tok with
-           | "lifetime" -> flags.lifetime <- true
-           | "invariants" -> flags.invariants <- true
+           | "invariants" -> invariants := true
            | "" -> ()
            | tok ->
              Printf.eprintf
                "slowcc: ignoring unknown SLOWCC_AUDIT token %S \
-                (expected off|all|lifetime|invariants)\n%!"
+                (expected off|all|invariants)\n%!"
                tok)
 
 let () =
@@ -76,12 +60,7 @@ let () =
   | Some spec -> apply_spec spec
   | None -> ()
 
-let with_flags ~lifetime ~invariants (f : unit -> 'a) : 'a =
-  let saved_l = flags.lifetime and saved_i = flags.invariants in
-  flags.lifetime <- lifetime;
-  flags.invariants <- invariants;
-  Fun.protect
-    ~finally:(fun () ->
-      flags.lifetime <- saved_l;
-      flags.invariants <- saved_i)
-    f
+let with_flags ~invariants:on (f : unit -> 'a) : 'a =
+  let saved = !invariants in
+  invariants := on;
+  Fun.protect ~finally:(fun () -> invariants := saved) f

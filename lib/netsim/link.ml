@@ -214,18 +214,11 @@ let delay t = t.delay
 let queue t = t.queue
 
 let send t pkt =
-  if Engine.Audit.lifetime_on () then Packet.check_live pkt;
   t.arrivals <- t.arrivals + 1;
   (match t.queue.Queue_intf.enqueue pkt with
   | Queue_intf.Dropped ->
     t.drops <- t.drops + 1;
-    run_hooks t.drop_hooks pkt;
-    (* The queue discipline refused the packet, so nothing downstream
-       will ever see it again: this is the last reference, return pooled
-       shells to the freelist here.  (Hooks run first — they only observe
-       the packet.)  Without this, every dropped pooled ack leaked to the
-       GC and quietly drained the freelist under reverse-path loss. *)
-    Packet.release pkt
+    run_hooks t.drop_hooks pkt
   | Queue_intf.Enqueued | Queue_intf.Marked ->
     if t.qdelay_hooks != [] then qd_push t (Engine.Sim.now t.sim);
     if not t.busy then transmit_next t);

@@ -16,9 +16,9 @@ val make :
 (** Set the receiver of packets at the far end (usually [Node.receive]). *)
 val connect : t -> (Packet.t -> unit) -> unit
 
-(** Offer a packet to the link's queue; may drop.  A dropped pooled
-    packet is released back to the freelist after the drop hooks run —
-    the link is its last owner at that point. *)
+(** Offer a packet to the link's queue; may drop.  A dropped packet is
+    counted and shown to the drop hooks, and nothing sees it after
+    them. *)
 val send : t -> Packet.t -> unit
 
 val bandwidth : t -> float

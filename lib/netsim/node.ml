@@ -115,12 +115,9 @@ let rec run_hooks hooks pkt =
     h pkt;
     run_hooks rest pkt
 
-(* The node is the last owner of a packet it discards; hooks observe it
-   first, then pooled shells go back to the freelist (no-op otherwise). *)
 let discard t pkt =
   t.discarded <- t.discarded + 1;
-  run_hooks t.discard_hooks pkt;
-  Packet.release pkt
+  run_hooks t.discard_hooks pkt
 
 let forward_default t pkt =
   match t.default_route with

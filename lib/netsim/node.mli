@@ -44,6 +44,6 @@ val inject : t -> Packet.t -> unit
 (** Packets discarded for lack of a route or local handler. *)
 val discarded : t -> int
 
-(** Hook invoked for every discarded packet, before pooled shells are
-    released (monitoring / per-flow accounting in the fuzzer). *)
+(** Hook invoked for every discarded packet (monitoring / per-flow
+    accounting in the fuzzer). *)
 val on_discard : t -> (Packet.t -> unit) -> unit

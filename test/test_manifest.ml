@@ -95,6 +95,33 @@ let test_timing_not_digested () =
   Alcotest.(check bool) "digest ignores timing" true
     (digest_of (render ~jobs:1 ~wall_s:10.) = digest_of (render ~jobs:8 ~wall_s:0.5))
 
+(* The process backend is stamped in the timing section only: the run
+   section, and so the digest, is the one a domain-pool run writes. *)
+let test_backend_in_timing_only () =
+  let render ?backend () =
+    match
+      Json.of_string
+        (Manifest.render ?backend ~experiment:"fig0" ~quick:true ~params:[]
+           ~emit:Manifest.Csv ~jobs:2 ~wall_s:1. ~tables:[ sample ] ())
+    with
+    | Ok doc -> doc
+    | Error e -> Alcotest.fail e
+  in
+  let proc = render ~backend:"proc" () and plain = render () in
+  let timing_backend doc =
+    Option.bind (Json.member "timing" doc) (Json.member "backend")
+  in
+  Alcotest.(check bool) "timing names proc" true
+    (timing_backend proc = Some (Json.String "proc"));
+  Alcotest.(check bool) "no backend by default" true
+    (timing_backend plain = None);
+  Alcotest.(check bool) "not at top level" true
+    (Json.member "backend" proc = None);
+  Alcotest.(check bool) "run section unchanged" true
+    (Json.member "run" proc = Json.member "run" plain);
+  Alcotest.(check bool) "digest unchanged" true
+    (Json.member "digest" proc = Json.member "digest" plain)
+
 (* End to end: fig7 --quick at jobs=1 and jobs=4 must agree on every
    digested byte and on the tables themselves. *)
 let test_fig7_jobs_invariance () =
@@ -136,6 +163,8 @@ let suite =
     Alcotest.test_case "write + digest extraction" `Quick
       test_write_and_digest_extraction;
     Alcotest.test_case "timing not digested" `Quick test_timing_not_digested;
+    Alcotest.test_case "backend in timing only" `Quick
+      test_backend_in_timing_only;
     Alcotest.test_case "fig7 manifest jobs-invariant" `Slow
       test_fig7_jobs_invariance;
   ]

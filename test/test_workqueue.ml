@@ -121,6 +121,18 @@ let test_lease_expiry_requeue () =
       (Wq.claimed_job c).Wq.name
   | None -> Alcotest.fail "revived job not claimable"
 
+(* A lease too long for an int of milliseconds saturates instead of
+   wrapping into an expiry that is already past. *)
+let test_huge_lease_never_expires () =
+  let dir = fresh_dir () in
+  let q = Wq.seed ~dir ~fingerprint:"fp" ~quick:false ~jobs:[ ("a", None) ] in
+  (match Wq.try_claim q ~worker:"w" ~now:0. ~lease_s:1e300 with
+  | None -> Alcotest.fail "claim failed"
+  | Some _ -> ());
+  Alcotest.(check int) "nothing requeued" 0 (Wq.requeue_expired q ~now:1e9);
+  Alcotest.(check int) "job stays claimed" 1 (Wq.status q).Wq.claimed;
+  Wq.delete q
+
 let test_failed_jobs_not_retried () =
   let dir = fresh_dir () in
   let q =
@@ -271,6 +283,8 @@ let suite =
     Alcotest.test_case "sequential claims, exactly once" `Quick
       test_sequential_claims;
     Alcotest.test_case "lease expiry requeues" `Quick test_lease_expiry_requeue;
+    Alcotest.test_case "huge lease never expires" `Quick
+      test_huge_lease_never_expires;
     Alcotest.test_case "failed jobs are not retried" `Quick
       test_failed_jobs_not_retried;
     Alcotest.test_case "4-process claim race, exactly once" `Quick
