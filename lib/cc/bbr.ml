@@ -136,8 +136,8 @@ let pacing_rate_pps t =
 let transmit t ~seq =
   let now = Engine.Sim.now t.sim in
   let pkt =
-    Netsim.Packet.make ~size:t.pkt_size ~seq ~flow:t.flow_id
-      ~src:(Netsim.Node.id t.src) ~dst:(Netsim.Node.id t.dst) ()
+    Netsim.Packet.make ~size:t.pkt_size ~seq ~payload:Netsim.Packet.Plain
+      ~flow:t.flow_id ~src:(Netsim.Node.id t.src) ~dst:(Netsim.Node.id t.dst)
   in
   t.pkts_sent <- t.pkts_sent + 1;
   t.bytes_sent <- t.bytes_sent + t.pkt_size;

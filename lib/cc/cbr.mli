@@ -1,7 +1,10 @@
-(** Constant-bit-rate source (no congestion control).
+(** Constant-bit-rate source (no congestion control), on the
+    {!Rate_flow} core: one packet every [pkt_size * 8 / rate] seconds.
 
     Used as the orchestrated competing traffic in the paper's dynamic
-    scenarios; pair with {!Onoff} to build square waves and sawtooths. *)
+    scenarios; [Scenarios] drives its [start], [stop] and {!set_rate} to
+    build square waves and restarts.  It samples no RTT, so its flow
+    reports [srtt = 0]. *)
 
 type t
 

@@ -20,19 +20,6 @@ type t = {
   stats : unit -> stats;
 }
 
-(* Default stats for rate-based/open-loop transports: loss-recovery
-   counters pinned to zero, the rest read through the flow's closures. *)
-let basic_stats ~pkts_sent ~bytes_sent ~bytes_delivered ~srtt () =
-  {
-    sent_pkts = pkts_sent ();
-    sent_bytes = bytes_sent ();
-    delivered_bytes = bytes_delivered ();
-    rtx_pkts = 0;
-    timeouts = 0;
-    fast_rtx = 0;
-    stat_srtt = srtt ();
-  }
-
 let json_of_stats s =
   Engine.Json.Obj
     [
@@ -44,7 +31,3 @@ let json_of_stats s =
       ("fast_rtx", Engine.Json.Int s.fast_rtx);
       ("srtt", Engine.Json.Float s.stat_srtt);
     ]
-
-let throughput t ~t0 ~t1 ~snapshot0 =
-  if t1 <= t0 then invalid_arg "Flow.throughput: empty interval";
-  (t.bytes_delivered () -. snapshot0) /. (t1 -. t0)

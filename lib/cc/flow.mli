@@ -1,8 +1,9 @@
 (** Uniform handle over a running transport flow, regardless of protocol.
 
-    Scenario code starts/stops flows and reads counters through this record;
-    each agent module ({!Flow_soa}, {!Rap}, {!Tfrc}, {!Tear}, {!Cbr},
-    {!Bbr}, {!Vegas}) builds one. *)
+    Scenario code starts/stops flows and reads counters through this record.
+    Three modules build one: {!Flow_soa} for the window senders,
+    {!Rate_flow} for the rate-timer senders ({!Rap}, {!Tfrc}, {!Tear},
+    {!Cbr}), and {!Bbr} and {!Vegas} for themselves. *)
 
 (** Uniform per-flow statistics record every transport exports for the
     observability layer.  Transports without a loss-recovery machinery
@@ -30,20 +31,5 @@ type t = {
   stats : unit -> stats;  (** full statistics snapshot *)
 }
 
-(** Build a [stats] thunk from the four basic closures, with the
-    loss-recovery counters pinned to zero — for transports that have no
-    retransmission machinery. *)
-val basic_stats :
-  pkts_sent:(unit -> int) ->
-  bytes_sent:(unit -> float) ->
-  bytes_delivered:(unit -> float) ->
-  srtt:(unit -> float) ->
-  unit ->
-  stats
-
 (** Serialize a snapshot for manifests and benchmark reports. *)
 val json_of_stats : stats -> Engine.Json.t
-
-(** Mean goodput in bytes/s between two absolute times, from a closure
-    sampling [bytes_delivered] — convenience for scenarios. *)
-val throughput : t -> t0:float -> t1:float -> snapshot0:float -> float

@@ -196,8 +196,9 @@ let[@inline] current_rto t i =
 
 let transmit t i ~seq =
   let pkt =
-    Netsim.Packet.make ~size:t.cfg.Window_cc.pkt_size ~seq ~flow:(flow_id t i)
-      ~src:(Netsim.Node.id t.src) ~dst:(Netsim.Node.id t.dst) ()
+    Netsim.Packet.make ~size:t.cfg.Window_cc.pkt_size ~seq
+      ~payload:Netsim.Packet.Plain ~flow:(flow_id t i)
+      ~src:(Netsim.Node.id t.src) ~dst:(Netsim.Node.id t.dst)
   in
   if seq < iget t I.hw i then begin
     iset t I.n_rtx i (iget t I.n_rtx i + 1);
@@ -603,11 +604,10 @@ let sack_blocks t i =
 let send_ack t i =
   let sack = if t.cfg.Window_cc.sack then sack_blocks t i else [] in
   let ack =
-    Netsim.Packet.make ~size:Sink.ack_size ~flow:(flow_id t i)
+    Netsim.Packet.make ~size:Sink.ack_size ~seq:0 ~flow:(flow_id t i)
       ~src:(Netsim.Node.id t.dst) ~dst:(Netsim.Node.id t.src)
       ~payload:
         (Netsim.Packet.Ack { cum_seq = iget t I.next_expected i; sack })
-      ()
   in
   ack.Netsim.Packet.ecn <- get_flag t i f_ecn;
   set_flag t i f_ecn false;

@@ -1,9 +1,11 @@
 (* Token-bucket packet pacer on a single reusable [Engine.Sim.timer].
 
-   Rate-paced senders (BBR-style, and eventually Tfrc/Cbr) hand the pacer
-   an [emit] callback that transmits one packet and returns [true], or
-   returns [false] when the transport has nothing to send right now.  The
-   pacer spaces emissions [1 /. rate_pps] apart (at most [burst] = one
+   A rate-paced sender (BBR) hands the pacer an [emit] callback that
+   transmits one packet and returns [true], or returns [false] when the
+   transport has nothing to send right now.  (RAP, TFRC, TEAR and CBR keep
+   their own send timer in [Rate_flow]: moving them here would run their
+   first emission as a separate event and move every digest.)  The pacer
+   spaces emissions [1 /. rate_pps] apart (at most [burst] = one
    whole token banked), re-arming one timer instead of allocating a fresh
    event per packet, and goes idle — timer disarmed, zero events — when
    [emit] declines.  The transport calls [kick] when data (or window)

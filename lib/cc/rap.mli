@@ -5,9 +5,13 @@
     regardless of ack arrivals.  The receiver acks every packet; the sender
     infers losses from ack sequence holes (3-packet reordering rule) and
     applies at most one multiplicative decrease per RTT.  Lost packets are
-    never retransmitted (RAP targets real-time streams).  Until the first
-    RTT sample the sender assumes 0.2 s; its rate is capped at 10^6
-    packets/s. *)
+    never retransmitted (RAP targets real-time streams).  Its rate is
+    capped at 10^6 packets/s.
+
+    The send timer, counters and RTT estimate (0.2 s until the first
+    sample, then smoothed with gain 1/8) are the {!Rate_flow} core's;
+    this module keeps the window law, the per-seq send times, loss
+    detection and the per-packet acker. *)
 
 type config = {
   a : float;  (** additive increase, packets per RTT *)

@@ -16,10 +16,9 @@ type t = {
 
 let send_ack t =
   let ack =
-    Netsim.Packet.make ~size:ack_size ~flow:t.flow
+    Netsim.Packet.make ~size:ack_size ~seq:0 ~flow:t.flow
       ~src:(Netsim.Node.id t.node) ~dst:t.peer
       ~payload:(Netsim.Packet.Ack { cum_seq = t.next_expected; sack = [] })
-      ()
   in
   ack.Netsim.Packet.ecn <- t.last_ecn;
   t.last_ecn <- false;

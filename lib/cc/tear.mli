@@ -13,16 +13,17 @@
     Simplifications vs the TEAR report, documented in DESIGN.md: round
     boundaries are counted in arrivals of one emulated window; the RTT the
     receiver divides by is the sender's smoothed estimate echoed in data
-    packets (as in our TFRC). *)
+    packets, through the same {!Rate_flow} timestamp echo as TFRC.  The
+    send timer and counters are the core's too; this module keeps the
+    emulated window, its watchdog and the sender's rate. *)
 
 type config = {
   pkt_size : int;
   smoothing_rounds : int;  (** windows averaged; TEAR uses about 8 *)
 }
 
-(** 1000-byte packets, 8 rounds.  The sender starts at 2 packets/s,
-    assumes a 200 ms RTT until the first sample and never sends slower
-    than one packet per 64 s. *)
+(** 1000-byte packets, 8 rounds.  The sender starts at 2 packets/s and
+    never sends slower than one packet per 64 s. *)
 val default_config : config
 
 type t

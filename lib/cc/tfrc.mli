@@ -12,9 +12,13 @@
     receive rate (C = 1.1), restoring the packet-conservation principle.
 
     As in the paper's runs, the loss-interval average has no RFC 3448
-    history discounting.  The sender starts at 2 packets/s, assumes a
-    200 ms RTT until the first sample, and never sends slower than one
-    packet per 64 s (t_mbi). *)
+    history discounting.  The sender starts at 2 packets/s and never
+    sends slower than one packet per 64 s (t_mbi).
+
+    The send timer, counters, RTT estimate (200 ms until the first
+    sample) and timestamp echo are the {!Rate_flow} core's; this module
+    keeps the loss history, the feedback and no-feedback timers and the
+    conservative cap. *)
 
 type config = {
   k : int;  (** number of loss intervals averaged *)

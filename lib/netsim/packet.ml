@@ -9,7 +9,7 @@ type tfrc_feedback = {
 type payload =
   | Plain
   | Ack of { cum_seq : int; sack : (int * int) list }
-  | Rap_ack of { cum_seq : int; recv_rate : float }
+  | Rap_ack of { cum_seq : int }
   | Tfrc_data of { timestamp : float; rtt_estimate : float }
   | Tfrc_fb of tfrc_feedback
   | Tear_fb of {
@@ -28,10 +28,10 @@ type t = {
   mutable ecn : bool;
 }
 
-let make ?(size = 1000) ?(seq = 0) ?(payload = Plain) ~flow ~src ~dst () =
+let make ~size ~seq ~payload ~flow ~src ~dst =
   { flow; src; dst; size; seq; payload; ecn = false }
 
-let dummy = make ~size:0 ~flow:(-1) ~src:(-1) ~dst:(-1) ()
+let dummy = make ~size:0 ~seq:0 ~payload:Plain ~flow:(-1) ~src:(-1) ~dst:(-1)
 
 let is_ack t =
   match t.payload with

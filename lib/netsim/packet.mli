@@ -30,7 +30,7 @@ type payload =
       sack : (int * int) list;
           (** selective-ack blocks [lo, hi), newest first, at most 3 *)
     }
-  | Rap_ack of { cum_seq : int; recv_rate : float }
+  | Rap_ack of { cum_seq : int }  (** the data packet being acked *)
   | Tfrc_data of { timestamp : float; rtt_estimate : float }
   | Tfrc_fb of tfrc_feedback
   | Tear_fb of {
@@ -52,17 +52,11 @@ type t = {
 (** A zero/placeholder packet for preallocated slots (never transmitted). *)
 val dummy : t
 
-(** [make ()] allocates a fresh packet with no ECN mark.  Defaults:
-    [size = 1000] bytes, [payload = Plain], [seq = 0]. *)
+(** A fresh packet with no ECN mark.  Every argument is required: under
+    [-opaque] an optional argument costs a [Some] box per packet.  Acks
+    and feedback pass [~seq:0]. *)
 val make :
-  ?size:int ->
-  ?seq:int ->
-  ?payload:payload ->
-  flow:int ->
-  src:int ->
-  dst:int ->
-  unit ->
-  t
+  size:int -> seq:int -> payload:payload -> flow:int -> src:int -> dst:int -> t
 
 val is_ack : t -> bool
 

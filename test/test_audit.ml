@@ -67,7 +67,7 @@ let test_drop_site () =
   (* 1000-byte packets serialize in 1 s: the first occupies the
      transmitter, the second the 1-slot queue, the third must drop. *)
   let sent =
-    List.init 3 (fun seq -> Packet.make ~seq ~flow:0 ~src:0 ~dst:1 ())
+    List.init 3 (fun seq -> Packet.make ~size:1000 ~seq ~payload:Packet.Plain ~flow:0 ~src:0 ~dst:1)
   in
   List.iter (Netsim.Link.send link) sent;
   (match !dropped with
@@ -84,9 +84,8 @@ let test_discard_site () =
   let seen = ref [] in
   Netsim.Node.on_discard node (fun pkt -> seen := pkt :: !seen);
   let p =
-    Packet.make ~size:40 ~flow:3 ~src:0 ~dst:99
+    Packet.make ~size:40 ~seq:0 ~flow:3 ~src:0 ~dst:99
       ~payload:(Packet.Ack { cum_seq = 0; sack = [] })
-      ()
   in
   Netsim.Node.receive node p;
   (match !seen with
@@ -131,7 +130,7 @@ let test_conservation_accessors_consistent () =
   let delivered = ref 0 in
   Netsim.Link.connect link (fun _ -> incr delivered);
   for seq = 1 to 5 do
-    Netsim.Link.send link (Packet.make ~seq ~flow:0 ~src:0 ~dst:1 ())
+    Netsim.Link.send link (Packet.make ~size:1000 ~seq ~payload:Packet.Plain ~flow:0 ~src:0 ~dst:1)
   done;
   Netsim.Link.check_conservation link;
   Engine.Sim.run sim;

@@ -20,16 +20,17 @@ let measure_rtt sim db =
   let t_sent = ref 0. and t_back = ref 0. in
   Netsim.Node.attach right ~flow (fun pkt ->
       let echo =
-        Netsim.Packet.make ~size:pkt.Netsim.Packet.size ~flow
-          ~src:(Netsim.Node.id right) ~dst:(Netsim.Node.id left) ()
+        Netsim.Packet.make ~size:pkt.Netsim.Packet.size ~seq:0
+          ~payload:Netsim.Packet.Plain ~flow ~src:(Netsim.Node.id right)
+          ~dst:(Netsim.Node.id left)
       in
       Netsim.Node.inject right echo);
   Netsim.Node.attach left ~flow (fun _ -> t_back := Engine.Sim.now sim);
   Engine.Sim.at sim 0. (fun () ->
       t_sent := 0.;
       let probe =
-        Netsim.Packet.make ~size:40 ~flow ~src:(Netsim.Node.id left)
-          ~dst:(Netsim.Node.id right) ()
+        Netsim.Packet.make ~size:40 ~seq:0 ~payload:Netsim.Packet.Plain ~flow
+          ~src:(Netsim.Node.id left) ~dst:(Netsim.Node.id right)
       in
       Netsim.Node.inject left probe);
   Engine.Sim.run sim;
@@ -51,11 +52,11 @@ let test_forward_and_reverse_paths () =
   Netsim.Node.attach left ~flow (fun _ -> incr at_left);
   Engine.Sim.at sim 0. (fun () ->
       Netsim.Node.inject left
-        (Netsim.Packet.make ~flow ~src:(Netsim.Node.id left)
-           ~dst:(Netsim.Node.id right) ());
+        (Netsim.Packet.make ~size:1000 ~seq:0 ~payload:Netsim.Packet.Plain ~flow
+           ~src:(Netsim.Node.id left) ~dst:(Netsim.Node.id right));
       Netsim.Node.inject right
-        (Netsim.Packet.make ~flow ~src:(Netsim.Node.id right)
-           ~dst:(Netsim.Node.id left) ()));
+        (Netsim.Packet.make ~size:1000 ~seq:0 ~payload:Netsim.Packet.Plain ~flow
+           ~src:(Netsim.Node.id right) ~dst:(Netsim.Node.id left)));
   Engine.Sim.run sim;
   Alcotest.(check int) "right got it" 1 !at_right;
   Alcotest.(check int) "left got it" 1 !at_left
@@ -70,8 +71,8 @@ let test_host_pairs_isolated () =
   Netsim.Node.attach r2 ~flow (fun _ -> incr at_r2);
   Engine.Sim.at sim 0. (fun () ->
       Netsim.Node.inject l1
-        (Netsim.Packet.make ~flow ~src:(Netsim.Node.id l1)
-           ~dst:(Netsim.Node.id r1) ()));
+        (Netsim.Packet.make ~size:1000 ~seq:0 ~payload:Netsim.Packet.Plain ~flow
+           ~src:(Netsim.Node.id l1) ~dst:(Netsim.Node.id r1)));
   Engine.Sim.run sim;
   Alcotest.(check int) "addressed host" 1 !at_r1;
   Alcotest.(check int) "other host untouched" 0 !at_r2

@@ -227,7 +227,9 @@ let test_slot_overflow_raises () =
       | Netsim.Packet.Ack { sack; _ } -> sacks := sack :: !sacks
       | _ -> ());
   let deliver seq =
-    Netsim.Node.receive dst (Netsim.Packet.make ~seq ~flow:0 ~src:0 ~dst:1 ())
+    Netsim.Node.receive dst
+      (Netsim.Packet.make ~size:1000 ~seq ~payload:Netsim.Packet.Plain ~flow:0
+         ~src:0 ~dst:1)
   in
   let top = Int32.to_int Int32.max_int in
   Alcotest.check_raises "2^31 does not fit"

@@ -1,7 +1,8 @@
 (* Link transmission timing, pipelining, counters, drops. *)
 
 let mk_pkt ?(size = 1000) seq =
-  Netsim.Packet.make ~size ~seq ~flow:0 ~src:0 ~dst:1 ()
+  Netsim.Packet.make ~size ~seq ~payload:Netsim.Packet.Plain ~flow:0 ~src:0
+    ~dst:1
 
 let fixture ?(bandwidth = 8e6) ?(delay = 0.01) ?(capacity = 100) () =
   let sim = Engine.Sim.create () in

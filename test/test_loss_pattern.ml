@@ -1,11 +1,12 @@
 (* Deterministic loss-pattern wrappers. *)
 
-let data seq = Netsim.Packet.make ~seq ~flow:0 ~src:0 ~dst:1 ()
+let data seq =
+  Netsim.Packet.make ~size:1000 ~seq ~payload:Netsim.Packet.Plain ~flow:0 ~src:0
+    ~dst:1
 
 let ack seq =
-  Netsim.Packet.make ~seq ~flow:0 ~src:1 ~dst:0
+  Netsim.Packet.make ~size:40 ~seq ~flow:0 ~src:1 ~dst:0
     ~payload:(Netsim.Packet.Ack { cum_seq = seq; sack = [] })
-    ()
 
 let drops_of q pkts =
   List.filter_map

@@ -1,4 +1,4 @@
-(* Odds and ends: engine stress, Flow helpers, metric edge cases. *)
+(* Odds and ends: engine stress, metric edge cases. *)
 
 let test_heap_stress () =
   (* A million mixed operations stay fast and ordered. *)
@@ -33,52 +33,6 @@ let test_sim_event_storm () =
   Alcotest.(check int) "all events ran" 100_000 !count;
   Alcotest.(check int) "processed counter" 100_000
     (Engine.Sim.events_processed sim)
-
-let test_flow_throughput_helper () =
-  let sim = Engine.Sim.create () in
-  let rng = Engine.Rng.create ~seed:1 in
-  let db =
-    Netsim.Dumbbell.create ~sim ~rng (Netsim.Dumbbell.default_config ~bandwidth:10e6)
-  in
-  let src, dst = Netsim.Dumbbell.add_host_pair db in
-  let flow_id = Netsim.Dumbbell.fresh_flow db in
-  let cbr =
-    Cc.Cbr.create ~sim ~src ~dst ~flow:flow_id ~rate:2e6 ~pkt_size:1000
-  in
-  let flow = Cc.Cbr.flow cbr in
-  flow.Cc.Flow.start ();
-  Engine.Sim.run ~until:5. sim;
-  let snapshot0 = flow.Cc.Flow.bytes_delivered () in
-  Engine.Sim.run ~until:10. sim;
-  let thr = Cc.Flow.throughput flow ~t0:5. ~t1:10. ~snapshot0 in
-  (* 2 Mbps = 250 kB/s. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "throughput %.0f B/s" thr)
-    true
-    (Float.abs (thr -. 250_000.) < 10_000.)
-
-let test_flow_throughput_validates_interval () =
-  let dummy =
-    {
-      Cc.Flow.id = 0;
-      protocol = "x";
-      start = ignore;
-      stop = ignore;
-      pkts_sent = (fun () -> 0);
-      bytes_sent = (fun () -> 0.);
-      bytes_delivered = (fun () -> 0.);
-      srtt = (fun () -> 0.);
-      stats =
-        Cc.Flow.basic_stats
-          ~pkts_sent:(fun () -> 0)
-          ~bytes_sent:(fun () -> 0.)
-          ~bytes_delivered:(fun () -> 0.)
-          ~srtt:(fun () -> 0.);
-    }
-  in
-  Alcotest.check_raises "empty interval"
-    (Invalid_argument "Flow.throughput: empty interval") (fun () ->
-      ignore (Cc.Flow.throughput dummy ~t0:1. ~t1:1. ~snapshot0:0.))
 
 let test_stabilization_threshold_floor () =
   (* With zero steady loss the 1.5x threshold would be zero; the floor
@@ -171,10 +125,6 @@ let suite =
   [
     Alcotest.test_case "heap stress" `Slow test_heap_stress;
     Alcotest.test_case "sim event storm" `Slow test_sim_event_storm;
-    Alcotest.test_case "flow throughput helper" `Quick
-      test_flow_throughput_helper;
-    Alcotest.test_case "flow throughput validation" `Quick
-      test_flow_throughput_validates_interval;
     Alcotest.test_case "stabilization zero-loss floor" `Quick
       test_stabilization_threshold_floor;
     Alcotest.test_case "protocol names" `Quick test_protocol_name_roundtrip;

@@ -1,6 +1,8 @@
 (* Node routing and agent dispatch. *)
 
-let mk_pkt ~flow ~dst = Netsim.Packet.make ~flow ~src:0 ~dst ()
+let mk_pkt ~flow ~dst =
+  Netsim.Packet.make ~size:1000 ~seq:0 ~payload:Netsim.Packet.Plain ~flow ~src:0
+    ~dst
 
 let test_local_dispatch () =
   let node = Netsim.Node.create ~id:5 in

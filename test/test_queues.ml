@@ -1,7 +1,8 @@
 (* DropTail and RED queue disciplines. *)
 
 let mk_pkt ?(size = 1000) seq =
-  Netsim.Packet.make ~size ~seq ~flow:0 ~src:0 ~dst:1 ()
+  Netsim.Packet.make ~size ~seq ~payload:Netsim.Packet.Plain ~flow:0 ~src:0
+    ~dst:1
 
 let test_droptail_fifo () =
   let q = Netsim.Droptail.make ~capacity:3 in

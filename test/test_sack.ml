@@ -69,7 +69,8 @@ let test_sack_blocks_generated () =
       | _ -> ());
   let send seq =
     Netsim.Node.receive node
-      (Netsim.Packet.make ~seq ~flow:1 ~src:0 ~dst:1 ())
+      (Netsim.Packet.make ~size:1000 ~seq ~payload:Netsim.Packet.Plain ~flow:1
+         ~src:0 ~dst:1)
   in
   (* Deliver 0, skip 1-2, deliver 3-4, skip 5, deliver 6. *)
   List.iter send [ 0; 3; 4; 6 ];

@@ -21,7 +21,8 @@ let fixture () =
   let sink = Cc.Sink.attach ~sim ~node ~flow:3 ~peer:0 in
   let send ?(ecn = false) seq =
     let pkt =
-      Netsim.Packet.make ~seq ~flow:3 ~src:0 ~dst:1 ()
+      Netsim.Packet.make ~size:1000 ~seq ~payload:Netsim.Packet.Plain ~flow:3
+        ~src:0 ~dst:1
     in
     pkt.Netsim.Packet.ecn <- ecn;
     Netsim.Node.receive node pkt

@@ -14,7 +14,8 @@ let fixture () =
 
 let send link seq =
   Netsim.Link.send link
-    (Netsim.Packet.make ~seq ~flow:7 ~src:0 ~dst:1 ())
+    (Netsim.Packet.make ~size:1000 ~seq ~payload:Netsim.Packet.Plain ~flow:7
+       ~src:0 ~dst:1)
 
 let test_departures_and_drops_logged () =
   let sim, link, buf, out, trace = fixture () in

@@ -71,7 +71,10 @@ let test_one_per_interval () =
   let dropped = ref [] in
   (* Offer a packet every 0.2 s for 5 s. *)
   Engine.Sim.every sim ~interval:0.2 ~stop:4.99 (fun () ->
-      let pkt = Netsim.Packet.make ~flow:0 ~src:0 ~dst:1 () in
+      let pkt =
+        Netsim.Packet.make ~size:1000 ~seq:0 ~payload:Netsim.Packet.Plain
+          ~flow:0 ~src:0 ~dst:1
+      in
       match q.Netsim.Queue_intf.enqueue pkt with
       | Netsim.Queue_intf.Dropped ->
         dropped := Engine.Sim.now sim :: !dropped

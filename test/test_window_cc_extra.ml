@@ -124,10 +124,9 @@ let test_stale_acks_are_not_dupacks () =
   let fast_rtx_before = Cc.Flow_soa.fast_retransmits tcp 0 in
   for _ = 1 to 3 do
     Netsim.Node.receive src
-      (Netsim.Packet.make ~size:40 ~flow:flow_id ~src:(Netsim.Node.id dst)
-         ~dst:(Netsim.Node.id src)
-         ~payload:(Netsim.Packet.Ack { cum_seq = 1; sack = [] })
-         ())
+      (Netsim.Packet.make ~size:40 ~seq:0 ~flow:flow_id
+         ~src:(Netsim.Node.id dst) ~dst:(Netsim.Node.id src)
+         ~payload:(Netsim.Packet.Ack { cum_seq = 1; sack = [] }))
   done;
   Alcotest.(check int) "no spurious fast retransmit" fast_rtx_before
     (Cc.Flow_soa.fast_retransmits tcp 0);
