@@ -281,25 +281,7 @@ let build sc =
    final clock. *)
 let trace_of sc b =
   Engine.Sim.run ~until:sc.duration b.sim;
-  let buf = Buffer.create 1024 in
-  List.iteri
-    (fun i (f : Cc.Flow.t) ->
-      let s = f.Cc.Flow.stats () in
-      Printf.bprintf buf
-        "flow %d %s sent=%d sbytes=%.17g dbytes=%.17g rtx=%d to=%d frtx=%d \
-         srtt=%.17g\n"
-        i f.Cc.Flow.protocol s.Cc.Flow.sent_pkts s.Cc.Flow.sent_bytes
-        s.Cc.Flow.delivered_bytes s.Cc.Flow.rtx_pkts s.Cc.Flow.timeouts
-        s.Cc.Flow.fast_rtx s.Cc.Flow.stat_srtt)
-    b.flows;
-  List.iteri
-    (fun j l ->
-      Printf.bprintf buf "link %d" j;
-      List.iter
-        (fun (k, v) -> Printf.bprintf buf " %s=%d" k v)
-        (Netsim.Link.counters l);
-      Buffer.add_char buf '\n')
-    b.links;
+  let buf = Manyflow.end_state_lines ~links:b.links (Array.of_list b.flows) in
   Printf.bprintf buf "events=%d now=%.17g\n"
     (Engine.Sim.events_processed b.sim)
     (Engine.Sim.now b.sim);

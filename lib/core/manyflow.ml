@@ -99,11 +99,9 @@ let build_object p =
 (* Differential digests: one n-slot engine vs n one-slot engines      *)
 (* ------------------------------------------------------------------ *)
 
-(* Uid-free end state, as in [Fuzz.trace_of] but WITHOUT the processed-
-   event count: consolidating n flows' timers into one wheel changes how
-   many events exist without changing what any of them computes, so only
-   flow stats, link counters and the final clock are compared. *)
-let end_state_trace ~sim ~links flows =
+(* Per-flow stats and per-link counters, the lines this module's and
+   [Fuzz]'s end-state traces share. *)
+let end_state_lines ~links flows =
   let buf = Buffer.create 4096 in
   Array.iteri
     (fun i (f : Cc.Flow.t) ->
@@ -123,6 +121,14 @@ let end_state_trace ~sim ~links flows =
         (Netsim.Link.counters l);
       Buffer.add_char buf '\n')
     links;
+  buf
+
+(* Unlike [Fuzz.trace_of], this ends WITHOUT the processed-event count:
+   consolidating n flows' timers into one wheel changes how many events
+   exist without changing what any of them computes, so only flow stats,
+   link counters and the final clock are compared. *)
+let end_state_trace ~sim ~links flows =
+  let buf = end_state_lines ~links flows in
   Printf.bprintf buf "now=%.17g\n" (Engine.Sim.now sim);
   Buffer.contents buf
 

@@ -38,15 +38,16 @@ type built_soa = {
 (** Build (not run) one n-slot engine with starts scheduled. *)
 val build_soa : params -> built_soa
 
-(** Per-flow twin: same topology, same start schedule, one one-slot
-    engine per flow. *)
-val build_object :
-  params -> Engine.Sim.t * Netsim.Dumbbell.t * Cc.Flow.t array
-
 (** {2 Differential: n-slot vs one-slot engines} *)
 
-(** Uid-free, event-count-free end-state trace (the digest input);
-    exposed so tests can diff divergences field by field. *)
+(** One line per flow (transport stats, floats at [%.17g]) and one per
+    link (its counters), in order: the body {!end_state_trace} and the
+    fuzzer's trace share.  Each appends its own last line. *)
+val end_state_lines : links:Netsim.Link.t list -> Cc.Flow.t array -> Buffer.t
+
+(** {!end_state_lines} and the final clock, without the event count (the
+    digest input); exposed so tests can diff divergences field by
+    field. *)
 val end_state_trace :
   sim:Engine.Sim.t -> links:Netsim.Link.t list -> Cc.Flow.t array -> string
 
@@ -58,10 +59,8 @@ val digest_object : params -> string
 (** [None] when both builds end byte-identical, [Some msg] otherwise. *)
 val check_equiv : params -> string option
 
-(** Randomized small instance derived from [seed]. *)
-val fuzz_params : quick:bool -> int -> params
-
-(** [check_equiv] on {!fuzz_params}; the fuzzer's SoA leg. *)
+(** [check_equiv] on a randomized small instance derived from [seed]; the
+    fuzzer's SoA leg. *)
 val fuzz_check : ?quick:bool -> int -> string option
 
 (** {2 Weak-convergence experiment} *)
