@@ -122,8 +122,51 @@ let test_backend_in_timing_only () =
   Alcotest.(check bool) "digest unchanged" true
     (Json.member "digest" proc = Json.member "digest" plain)
 
+(* What a manifest promises its reader: the schema, a 32-hex digest, the
+   run's identity, rows in every table, and one JSON document per line of
+   the JSONL output. *)
+let check_manifest_shape ~manifest ~jsonl =
+  let doc =
+    match Json.of_string (read_file manifest) with
+    | Ok doc -> doc
+    | Error e -> Alcotest.fail e
+  in
+  let field keys =
+    List.fold_left (fun d k -> Option.bind d (Json.member k)) (Some doc) keys
+  in
+  Alcotest.(check bool) "schema" true
+    (field [ "schema" ] = Some (Json.String "slowcc-run-manifest/1"));
+  let hex = function '0' .. '9' | 'a' .. 'f' -> true | _ -> false in
+  (match field [ "digest" ] with
+  | Some (Json.String d) ->
+    Alcotest.(check bool) "32-hex digest" true
+      (String.length d = 32 && String.for_all hex d)
+  | _ -> Alcotest.fail "digest missing");
+  Alcotest.(check bool) "experiment" true
+    (field [ "run"; "experiment" ] = Some (Json.String "fig7"));
+  Alcotest.(check bool) "quick" true
+    (field [ "run"; "quick" ] = Some (Json.Bool true));
+  (match field [ "run"; "tables" ] with
+  | Some (Json.List (_ :: _ as tables)) ->
+    List.iter
+      (fun t ->
+        match Json.member "rows" t with
+        | Some (Json.Int n) when n > 0 -> ()
+        | _ -> Alcotest.fail "a table has no rows")
+      tables
+  | _ -> Alcotest.fail "no tables");
+  let lines = String.split_on_char '\n' (read_file jsonl) in
+  List.iteri
+    (fun i line ->
+      if not (line = "" && i = List.length lines - 1) then
+        match Json.of_string line with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "jsonl line %d: %s" (i + 1) e)
+    lines
+
 (* End to end: fig7 --quick at jobs=1 and jobs=4 must agree on every
-   digested byte and on the tables themselves. *)
+   digested byte and on the tables themselves, and the manifest must
+   have the shape {!check_manifest_shape} reads. *)
 let test_fig7_jobs_invariance () =
   let run ~jobs ~dir =
     Engine.Pool.with_pool ~jobs (fun pool ->
@@ -136,6 +179,7 @@ let test_fig7_jobs_invariance () =
   in
   let m1, t1 = run ~jobs:1 ~dir:"tmp-manifest/jobs1" in
   let m4, t4 = run ~jobs:4 ~dir:"tmp-manifest/jobs4" in
+  check_manifest_shape ~manifest:m1 ~jsonl:"tmp-manifest/jobs1/fig7.jsonl";
   let section tables =
     Json.to_string
       (Manifest.run_section ~experiment:"fig7" ~quick:true
