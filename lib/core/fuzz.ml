@@ -4,18 +4,11 @@ module Json = Engine.Json
 (* Scenarios                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type topology = Dumbbell | Parking_lot of int
-
-type flow_spec = {
-  proto : Protocol.t;
-  rev : bool;  (* dumbbell: right-to-left *)
-  src_site : int;  (* parking lot: attachment routers *)
-  dst_site : int;
-}
+type flow_spec = { proto : Protocol.t; src_site : int; dst_site : int }
 
 type scenario = {
   seed : int;
-  topology : topology;
+  hops : int;
   queue : Netsim.Dumbbell.queue_kind;
   bandwidth : float;
   rtt : float;
@@ -36,43 +29,28 @@ let queue_of_string = function
   | _ -> None
 
 let describe sc =
-  Printf.sprintf "seed=%d %s queue=%s bw=%g rtt=%g dur=%g flows=[%s]" sc.seed
-    (match sc.topology with
-    | Dumbbell -> "dumbbell"
-    | Parking_lot h -> Printf.sprintf "parking_lot:%d" h)
-    (queue_to_string sc.queue)
-    sc.bandwidth sc.rtt sc.duration
+  Printf.sprintf "seed=%d hops=%d queue=%s bw=%g rtt=%g dur=%g flows=[%s]"
+    sc.seed sc.hops (queue_to_string sc.queue) sc.bandwidth sc.rtt
+    sc.duration
     (String.concat "; "
        (List.map
           (fun fs ->
-            match sc.topology with
-            | Dumbbell ->
-              Printf.sprintf "%s%s" (Protocol.to_string fs.proto)
-                (if fs.rev then " rev" else "")
-            | Parking_lot _ ->
-              Printf.sprintf "%s %d->%d" (Protocol.to_string fs.proto)
-                fs.src_site fs.dst_site)
+            Printf.sprintf "%s %d->%d" (Protocol.to_string fs.proto)
+              fs.src_site fs.dst_site)
           sc.flows))
 
 (* ------------------------------------------------------------------ *)
 (* JSON round trip (replayable reproducers)                            *)
 (* ------------------------------------------------------------------ *)
 
-let repro_schema = "slowcc-fuzz-repro/1"
+let repro_schema = "slowcc-fuzz-repro/2"
 
 let scenario_to_json sc =
   Json.Obj
     [
       ("schema", Json.String repro_schema);
       ("seed", Json.Int sc.seed);
-      ( "topology",
-        Json.String
-          (match sc.topology with
-          | Dumbbell -> "dumbbell"
-          | Parking_lot _ -> "parking_lot") );
-      ( "hops",
-        Json.Int (match sc.topology with Dumbbell -> 0 | Parking_lot h -> h)
-      );
+      ("hops", Json.Int sc.hops);
       ("queue", Json.String (queue_to_string sc.queue));
       ("bandwidth", Json.Float sc.bandwidth);
       ("rtt", Json.Float sc.rtt);
@@ -84,13 +62,14 @@ let scenario_to_json sc =
                Json.Obj
                  [
                    ("proto", Json.String (Protocol.to_string fs.proto));
-                   ("rev", Json.Bool fs.rev);
                    ("src_site", Json.Int fs.src_site);
                    ("dst_site", Json.Int fs.dst_site);
                  ])
              sc.flows) );
     ]
 
+(* Every value is checked here, so a reproducer that loads also builds:
+   [Dumbbell.create] and [add_host] never see an out-of-range number. *)
 let scenario_of_json doc =
   let ( let* ) = Result.bind in
   let str k =
@@ -98,11 +77,11 @@ let scenario_of_json doc =
     | Some (Json.String s) -> Ok s
     | _ -> Error (Printf.sprintf "missing or non-string %S" k)
   in
-  let num k obj =
-    match Json.member k obj with
-    | Some (Json.Float f) -> Ok f
-    | Some (Json.Int i) -> Ok (float_of_int i)
-    | _ -> Error (Printf.sprintf "missing or non-number %S" k)
+  let positive k =
+    match Json.member k doc with
+    | Some (Json.Float f) when Float.is_finite f && f > 0. -> Ok f
+    | Some (Json.Int i) when i > 0 -> Ok (float_of_int i)
+    | _ -> Error (Printf.sprintf "missing or non-positive %S" k)
   in
   let int k obj =
     match Json.member k obj with
@@ -115,27 +94,26 @@ let scenario_of_json doc =
     else Error (Printf.sprintf "unknown schema %S" schema)
   in
   let* seed = int "seed" doc in
-  let* topo_s = str "topology" in
   let* hops = int "hops" doc in
-  let* topology =
-    match topo_s with
-    | "dumbbell" -> Ok Dumbbell
-    | "parking_lot" when hops >= 1 -> Ok (Parking_lot hops)
-    | _ -> Error "bad topology"
-  in
+  let* () = if hops >= 1 then Ok () else Error "hops must be >= 1" in
   let* queue_s = str "queue" in
   let* queue =
     match queue_of_string queue_s with
     | Some q -> Ok q
     | None -> Error (Printf.sprintf "unknown queue %S" queue_s)
   in
-  let* bandwidth = num "bandwidth" doc in
-  let* rtt = num "rtt" doc in
-  let* duration = num "duration" doc in
+  let* bandwidth = positive "bandwidth" in
+  let* rtt = positive "rtt" in
+  let* duration = positive "duration" in
   let* flow_docs =
     match Json.member "flows" doc with
     | Some (Json.List l) when l <> [] -> Ok l
     | _ -> Error "missing or empty flows"
+  in
+  let site k fd =
+    let* s = int k fd in
+    if s >= 0 && s <= hops then Ok s
+    else Error (Printf.sprintf "%s %d outside 0..%d" k s hops)
   in
   let* flows =
     List.fold_left
@@ -147,18 +125,15 @@ let scenario_of_json doc =
           | _ -> Error "flow without proto"
         in
         let* proto = Protocol.of_string proto_s in
-        let rev =
-          match Json.member "rev" fd with
-          | Some (Json.Bool b) -> b
-          | _ -> false
-        in
-        let* src_site = int "src_site" fd in
-        let* dst_site = int "dst_site" fd in
-        Ok ({ proto; rev; src_site; dst_site } :: acc))
+        let* src_site = site "src_site" fd in
+        let* dst_site = site "dst_site" fd in
+        if src_site = dst_site then
+          Error (Printf.sprintf "flow with src_site = dst_site = %d" src_site)
+        else Ok ({ proto; src_site; dst_site } :: acc))
       (Ok []) flow_docs
     |> Result.map List.rev
   in
-  Ok { seed; topology; queue; bandwidth; rtt; duration; flows }
+  Ok { seed; hops; queue; bandwidth; rtt; duration; flows }
 
 (* ------------------------------------------------------------------ *)
 (* Generation                                                          *)
@@ -184,10 +159,8 @@ let generate ~quick seed =
      by [sc.seed], so scenario shape and in-run randomness (RED) are
      independent. *)
   let rng = Engine.Rng.create ~seed:(seed lxor 0x5eed5eed) in
-  let topology =
-    if Engine.Rng.bernoulli rng ~p:0.3 then
-      Parking_lot (2 + Engine.Rng.int rng 2)
-    else Dumbbell
+  let hops =
+    if Engine.Rng.bernoulli rng ~p:0.3 then 2 + Engine.Rng.int rng 2 else 1
   in
   let queue =
     match Engine.Rng.int rng 3 with
@@ -202,21 +175,17 @@ let generate ~quick seed =
     else 5. +. float_of_int (Engine.Rng.int rng 15)
   in
   let nflows = 1 + Engine.Rng.int rng (if quick then 3 else 5) in
-  let sites =
-    match topology with Dumbbell -> 1 | Parking_lot h -> h + 1
-  in
+  (* Any two distinct routers of the chain, either way round. *)
   let flows =
     List.init nflows (fun _ ->
         let proto = gen_proto rng in
-        let rev = Engine.Rng.bernoulli rng ~p:0.3 in
-        let src_site = Engine.Rng.int rng sites in
+        let src_site = Engine.Rng.int rng (hops + 1) in
         let dst_site =
-          if sites = 1 then 0
-          else (src_site + 1 + Engine.Rng.int rng (sites - 1)) mod sites
+          (src_site + 1 + Engine.Rng.int rng hops) mod (hops + 1)
         in
-        { proto; rev; src_site; dst_site })
+        { proto; src_site; dst_site })
   in
-  { seed; topology; queue; bandwidth; rtt; duration; flows }
+  { seed; hops; queue; bandwidth; rtt; duration; flows }
 
 (* ------------------------------------------------------------------ *)
 (* Building and running one leg                                        *)
@@ -231,50 +200,31 @@ type built = {
 let build sc =
   let sim = Engine.Sim.create () in
   let rng = Engine.Rng.create ~seed:sc.seed in
-  let b =
-    match sc.topology with
-    | Dumbbell ->
-      let config =
-        {
-          (Netsim.Dumbbell.default_config ~bandwidth:sc.bandwidth) with
-          Netsim.Dumbbell.rtt = sc.rtt;
-          queue = sc.queue;
-        }
-      in
-      let db = Netsim.Dumbbell.create ~sim ~rng:(Engine.Rng.split rng) config in
-      let flows =
-        List.map (fun fs -> Protocol.spawn ~reverse:fs.rev fs.proto db) sc.flows
-      in
-      { sim; flows; links = Netsim.Dumbbell.links db }
-    | Parking_lot hops ->
-      let config =
-        {
-          (Netsim.Parking_lot.default_config ~hops ~bandwidth:sc.bandwidth) with
-          Netsim.Parking_lot.hop_rtt = sc.rtt /. float_of_int hops;
-          queue = sc.queue;
-        }
-      in
-      let pl =
-        Netsim.Parking_lot.create ~sim ~rng:(Engine.Rng.split rng) config
-      in
-      let flows =
-        List.map
-          (fun fs ->
-            let src = Netsim.Parking_lot.add_host pl ~site:fs.src_site in
-            let dst = Netsim.Parking_lot.add_host pl ~site:fs.dst_site in
-            Protocol.spawn_between fs.proto ~sim ~src ~dst
-              ~flow:(Netsim.Parking_lot.fresh_flow pl))
-          sc.flows
-      in
-      { sim; flows; links = Netsim.Parking_lot.links pl }
+  let config =
+    {
+      (Netsim.Dumbbell.default_config ~bandwidth:sc.bandwidth) with
+      Netsim.Dumbbell.rtt = sc.rtt;
+      queue = sc.queue;
+      hops = sc.hops;
+    }
+  in
+  let db = Netsim.Dumbbell.create ~sim ~rng:(Engine.Rng.split rng) config in
+  let flows =
+    List.map
+      (fun fs ->
+        let src = Netsim.Dumbbell.add_host db ~site:fs.src_site in
+        let dst = Netsim.Dumbbell.add_host db ~site:fs.dst_site in
+        Protocol.spawn_between fs.proto ~sim ~src ~dst
+          ~flow:(Netsim.Dumbbell.fresh_flow db))
+      sc.flows
   in
   (* Deterministic staggered starts: no RNG involved, so every leg sees
      the same schedule. *)
   List.iteri
     (fun i (f : Cc.Flow.t) ->
       Engine.Sim.at sim (0.01 +. (0.25 *. float_of_int i)) f.Cc.Flow.start)
-    b.flows;
-  b
+    flows;
+  { sim; flows; links = Netsim.Dumbbell.links db }
 
 (* The whole observable end state: per-flow transport statistics,
    per-link counters in creation order, and the engine's event count and
@@ -382,17 +332,21 @@ let shrink_candidates (sc : scenario) =
   let nflows = List.length sc.flows in
   List.concat
     [
-      (match sc.topology with
-      | Parking_lot h when h > 2 -> [ { sc with topology = Parking_lot (h - 1) } ]
-      | Parking_lot _ ->
-        [
-          {
-            sc with
-            topology = Dumbbell;
-            flows = List.map (fun fs -> { fs with src_site = 0; dst_site = 0 }) sc.flows;
-          };
-        ]
-      | Dumbbell -> []);
+      (if sc.hops > 1 then
+         [
+           {
+             sc with
+             hops = 1;
+             flows =
+               List.map
+                 (fun fs ->
+                   if fs.src_site < fs.dst_site then
+                     { fs with src_site = 0; dst_site = 1 }
+                   else { fs with src_site = 1; dst_site = 0 })
+                 sc.flows;
+           };
+         ]
+       else []);
       (if nflows > 1 then List.init nflows drop_flow else []);
       (if sc.duration > 1. then [ { sc with duration = sc.duration /. 2. } ]
        else []);
@@ -403,8 +357,8 @@ let shrink_candidates (sc : scenario) =
 
 (* Greedy shrink: repeatedly take the first candidate that still fails
    (any failure counts, not necessarily the original one).  Bounded by
-   the structure — every accepted step removes a flow, a hop, half the
-   duration or the RED machinery — plus a hard iteration cap. *)
+   the structure — every accepted step removes a flow, the extra hops,
+   half the duration or the RED machinery — plus a hard iteration cap. *)
 let shrink ?pool sc failure =
   let rec go sc failure budget =
     if budget = 0 then (sc, failure)

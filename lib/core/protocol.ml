@@ -151,9 +151,8 @@ let window_rule = function
   | Rap _ | Tfrc _ | Tear _ | Bbr | Vegas _ ->
     invalid_arg "Protocol.window_rule: not window-based"
 
-(* Build a flow of protocol [t] between two already-routed nodes; the
-   dumbbell-specific [spawn] and the fuzzer's parking-lot wiring both end
-   up here. *)
+(* Build a flow of protocol [t] between two already-routed nodes; [spawn]
+   and the fuzzer's per-site hosts both end up here. *)
 let spawn_between ?(pkt_size = 1000) ?total_pkts ?(ca_start = false) t ~sim
     ~src ~dst ~flow:flow_id =
   match t with

@@ -72,9 +72,9 @@ val spawn :
   Cc.Flow.t
 
 (** Build a flow of this protocol between two already-created,
-    already-routed nodes — topology-agnostic core of {!spawn}; the fuzzer
-    uses it to wire flows across a parking lot.  The caller supplies a
-    fresh [flow] id. *)
+    already-routed nodes — the core of {!spawn}; the fuzzer uses it for
+    hosts it attaches with {!Netsim.Dumbbell.add_host}.  The caller
+    supplies a fresh [flow] id. *)
 val spawn_between :
   ?pkt_size:int ->
   ?total_pkts:int ->

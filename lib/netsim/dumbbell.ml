@@ -9,21 +9,20 @@ type config = {
   rtt : float;
   pkt_size : int;
   queue : queue_kind;
+  hops : int;
 }
 
 let default_config ~bandwidth =
-  { bandwidth; rtt = 0.05; pkt_size = 1000; queue = Red }
+  { bandwidth; rtt = 0.05; pkt_size = 1000; queue = Red; hops = 1 }
 
 let bdp_packets c = c.bandwidth *. c.rtt /. (8. *. float_of_int c.pkt_size)
 
 type t = {
   sim : Engine.Sim.t;
-  rng : Engine.Rng.t;
   config : config;
-  left_router : Node.t;
-  right_router : Node.t;
-  bottleneck : Link.t;
-  bottleneck_rev : Link.t;
+  routers : Node.t array;  (* hops + 1 routers; router i is node i *)
+  forward : Link.t array;  (* forward.(i): router i -> router i+1 *)
+  backward : Link.t array;  (* backward.(i): router i+1 -> router i *)
   mutable next_node_id : int;
   mutable next_flow_id : int;
   mutable all_links : Link.t list;  (* every link, newest first *)
@@ -48,43 +47,52 @@ let make_queue ~sim ~rng c =
     in
     Red.make ~sim ~rng:(Engine.Rng.split rng) params
 
-(* RTT budget: 2 x (bottleneck_prop + 2 x edge_prop) = rtt, with edge_prop
-   set to rtt/20 so the bottleneck carries most of the delay. *)
+(* RTT budget: 2 x (hops x hop_prop + 2 x edge_prop) = rtt, with edge_prop
+   set to rtt/20 so the bottleneck hops carry most of the delay. *)
 let edge_prop c = c.rtt /. 20.
-let bottleneck_prop c = (c.rtt /. 2.) -. (2. *. edge_prop c)
+let hop_prop c =
+  ((c.rtt /. 2.) -. (2. *. edge_prop c)) /. float_of_int c.hops
 
 let edge_bandwidth c = Float.max 1e8 (100. *. c.bandwidth)
 
 let create ~sim ~rng config =
+  if config.hops < 1 then invalid_arg "Dumbbell.create: hops";
   if config.bandwidth <= 0. then invalid_arg "Dumbbell.create: bandwidth";
   if config.rtt <= 0. then invalid_arg "Dumbbell.create: rtt";
-  let left_router = Node.create ~id:0 and right_router = Node.create ~id:1 in
-  let mk_bottleneck () =
-    Link.make ~sim ~bandwidth:config.bandwidth ~delay:(bottleneck_prop config)
+  let routers = Array.init (config.hops + 1) (fun id -> Node.create ~id) in
+  let mk_hop () =
+    Link.make ~sim ~bandwidth:config.bandwidth ~delay:(hop_prop config)
       ~queue:(make_queue ~sim ~rng config)
   in
-  let bottleneck = mk_bottleneck () and bottleneck_rev = mk_bottleneck () in
-  Link.connect bottleneck (Node.receive right_router);
-  Link.connect bottleneck_rev (Node.receive left_router);
-  Node.set_default_route left_router bottleneck;
-  Node.set_default_route right_router bottleneck_rev;
+  (* Forward link, then reverse, hop by hop: with one hop, [rng] splits
+     in the order the paper's dumbbell always had. *)
+  let hops =
+    Array.init config.hops (fun i ->
+        let fwd = mk_hop () in
+        let bwd = mk_hop () in
+        Link.connect fwd (Node.receive routers.(i + 1));
+        Link.connect bwd (Node.receive routers.(i));
+        (fwd, bwd))
+  in
+  let forward, backward = Array.split hops in
+  Node.set_default_route routers.(0) forward.(0);
+  Node.set_default_route routers.(config.hops) backward.(config.hops - 1);
   {
     sim;
-    rng;
     config;
-    left_router;
-    right_router;
-    bottleneck;
-    bottleneck_rev;
-    next_node_id = 2;
+    routers;
+    forward;
+    backward;
+    next_node_id = config.hops + 1;
     next_flow_id = 0;
-    all_links = [ bottleneck_rev; bottleneck ];
+    all_links =
+      Array.fold_left (fun acc (fwd, bwd) -> bwd :: fwd :: acc) [] hops;
   }
 
 let sim t = t.sim
 let config t = t.config
-let bottleneck t = t.bottleneck
-let bottleneck_rev t = t.bottleneck_rev
+let bottleneck ?(hop = 0) t = t.forward.(hop)
+let bottleneck_rev t = t.backward.(0)
 let links t = List.rev t.all_links
 
 let fresh_node_id t =
@@ -106,17 +114,30 @@ let edge_link t ~extra_delay =
   t.all_links <- l :: t.all_links;
   l
 
-let attach_host t router host ~extra_delay =
+let attach t ~extra_delay ~site =
+  if site < 0 || site > t.config.hops then
+    invalid_arg "Dumbbell.add_host: site out of range";
+  let host = Node.create ~id:(fresh_node_id t) in
   let up = edge_link t ~extra_delay and down = edge_link t ~extra_delay in
-  Link.connect up (Node.receive router);
+  Link.connect up (Node.receive t.routers.(site));
   Link.connect down (Node.receive host);
   Node.set_default_route host up;
-  Node.add_route router ~dst:(Node.id host) down
+  (* The host's router delivers to it; the end routers reach every other
+     host by their default route, and the routers between them learn
+     which way along the chain it lies. *)
+  Array.iteri
+    (fun i router ->
+      if i = site then Node.add_route router ~dst:(Node.id host) down
+      else if i > 0 && i < t.config.hops then
+        Node.add_route router ~dst:(Node.id host)
+          (if i < site then t.forward.(i) else t.backward.(i - 1)))
+    t.routers;
+  host
+
+let add_host t ~site = attach t ~extra_delay:0. ~site
 
 let add_host_pair ?(extra_delay = 0.) t =
   if extra_delay < 0. then invalid_arg "Dumbbell.add_host_pair: extra_delay";
-  let left = Node.create ~id:(fresh_node_id t) in
-  let right = Node.create ~id:(fresh_node_id t) in
-  attach_host t t.left_router left ~extra_delay;
-  attach_host t t.right_router right ~extra_delay;
+  let left = attach t ~extra_delay ~site:0 in
+  let right = attach t ~extra_delay ~site:t.config.hops in
   (left, right)

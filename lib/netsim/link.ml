@@ -20,7 +20,6 @@ type t = {
   mutable delivered : int;  (* handed to the far-end receiver *)
   mutable bytes_out : int;
   mutable drop_hooks : (Packet.t -> unit) list;
-  mutable departure_hooks : (Packet.t -> unit) list;
   (* Per-packet queueing delay (enqueue -> tx-start), observed via a side
      ring of enqueue timestamps.  Valid because every discipline here is
      strictly FIFO and drops happen only at enqueue: the k-th timestamp
@@ -162,7 +161,6 @@ let make ~sim ~bandwidth ~delay ~queue =
       delivered = 0;
       bytes_out = 0;
       drop_hooks = [];
-      departure_hooks = [];
       qdelay_hooks = [];
       enq_times = [||];
       enq_head = 0;
@@ -192,7 +190,6 @@ let make ~sim ~bandwidth ~delay ~queue =
       t.tx_pkt <- Packet.dummy;
       t.departures <- t.departures + 1;
       t.bytes_out <- t.bytes_out + pkt.Packet.size;
-      run_hooks t.departure_hooks pkt;
       (* Delivery is scheduled before the next serialization starts, so
          if [delay] happens to equal a tx time the delivery event keeps
          its historical FIFO priority at the tie. *)
@@ -209,8 +206,6 @@ let make ~sim ~bandwidth ~delay ~queue =
   t
 
 let connect t deliver = t.deliver <- deliver
-let bandwidth t = t.bandwidth
-let delay t = t.delay
 let queue t = t.queue
 
 let send t pkt =
@@ -252,7 +247,6 @@ let counters t =
       (t.queue.Queue_intf.counters ())
 
 let on_drop t hook = t.drop_hooks <- hook :: t.drop_hooks
-let on_departure t hook = t.departure_hooks <- hook :: t.departure_hooks
 
 let on_queue_delay t hook =
   if t.qdelay_hooks = [] then

@@ -21,8 +21,6 @@ val connect : t -> (Packet.t -> unit) -> unit
     them. *)
 val send : t -> Packet.t -> unit
 
-val bandwidth : t -> float
-val delay : t -> float
 val queue : t -> Queue_intf.t
 
 (** Serialization time of a packet of [bytes] bytes. *)
@@ -65,9 +63,6 @@ val counters : t -> (string * int) list
 
 (** Hook invoked for every dropped packet (monitoring / tests). *)
 val on_drop : t -> (Packet.t -> unit) -> unit
-
-(** Hook invoked when a packet finishes serialization onto the wire. *)
-val on_departure : t -> (Packet.t -> unit) -> unit
 
 (** [on_queue_delay t hook] invokes [hook pkt delay] when [pkt] starts
     serializing, where [delay] is the time the packet spent queued

@@ -14,7 +14,7 @@ val id : t -> int
 
 (** Route packets destined to node [dst] over [link].  [dst] indexes an
     array grown to cover it, so node ids should be small, as
-    [Dumbbell] and [Parking_lot] number them from a counter.
+    [Dumbbell] numbers them from a counter.
     @raise Invalid_argument if [dst < 0]. *)
 val add_route : t -> dst:int -> Link.t -> unit
 
