@@ -30,6 +30,3 @@ type t = {
   srtt : unit -> float;  (** smoothed RTT estimate, seconds *)
   stats : unit -> stats;  (** full statistics snapshot *)
 }
-
-(** Serialize a snapshot for manifests and benchmark reports. *)
-val json_of_stats : stats -> Engine.Json.t

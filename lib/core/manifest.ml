@@ -32,16 +32,11 @@ let table_digest (t : Table.t) =
   List.iter field t.Table.notes;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* One JSON object per row: {"row": i, "cells": {"col": "raw cell", ...}}.
-   The rendering lives in [Table] (shared with the result cache, whose
-   [Table.of_jsonl] reader must invert these exact bytes). *)
-let jsonl_of_table = Table.rows_to_jsonl
-
 let save_jsonl ~dir (t : Table.t) =
   Table.ensure_dir dir;
   let path = Filename.concat dir (t.Table.id ^ ".jsonl") in
   let oc = open_out path in
-  output_string oc (jsonl_of_table t);
+  output_string oc (Table.rows_to_jsonl t);
   close_out oc;
   path
 
@@ -148,29 +143,3 @@ let write ?cache ?backend ~dir ~experiment ~quick ~params ~emit ~jobs ~wall_s
        ~tables ());
   close_out oc;
   path
-
-(* Naive single-field extraction, enough for tests and CI smoke checks
-   without a JSON parser dependency. *)
-let digest_of_file path =
-  let contents = Table.read_file path in
-  let key = "\"digest\": \"" in
-  match String.index_opt contents '{' with
-  | None -> None
-  | Some _ -> (
-    let rec find from =
-      if from >= String.length contents then None
-      else
-        match String.index_from_opt contents from '"' with
-        | None -> None
-        | Some i ->
-          if
-            i + String.length key <= String.length contents
-            && String.sub contents i (String.length key) = key
-          then
-            let start = i + String.length key in
-            String.index_from_opt contents start '"'
-            |> Option.map (fun stop ->
-                   String.sub contents start (stop - start))
-          else find (i + 1)
-    in
-    find 0)

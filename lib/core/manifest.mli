@@ -18,17 +18,8 @@ val emit_to_string : emit -> string
     concatenation. *)
 val table_digest : Table.t -> string
 
-(** One minified JSON object per row:
-    [{"row": i, "cells": {"<col>": "<raw cell>", ...}}].  Cells keep the
-    exact strings of the table. *)
-val jsonl_of_table : Table.t -> string
-
 (** [save_jsonl ~dir t] writes [dir/<id>.jsonl] and returns its path. *)
 val save_jsonl : dir:string -> Table.t -> string
-
-(** [save_table ~dir ~emit t] writes the table in the requested
-    format(s) and returns the paths written. *)
-val save_table : dir:string -> emit:emit -> Table.t -> string list
 
 (** The digested portion of the manifest.  Exposed so tests can compare
     the exact bytes across worker counts. *)
@@ -74,7 +65,3 @@ val write :
   wall_s:float ->
   Table.t list ->
   string
-
-(** Extract the top-level ["digest"] field from a manifest file without
-    a JSON parser (first occurrence wins).  [None] when absent. *)
-val digest_of_file : string -> string option

@@ -249,23 +249,21 @@ let run p =
   done;
   let values = !values in
   (* Sampled stats: a deterministic reservoir of flow indexes feeding a
-     Metrics series — the snapshot path a live many-flow run would use,
-     O(reservoir) per refresh instead of O(flows). *)
-  let registry = Engine.Metrics.create () in
-  let series = Engine.Metrics.series registry "manyflow.norm_throughput" in
+     second accumulator, O(reservoir) instead of O(flows). *)
+  let sampled = Engine.Stats.create () in
   let sample =
     Engine.Reservoir.indices
       ~rng:(Engine.Rng.create ~seed:(p.seed + 1))
       ~k:(min reservoir_k p.n) p.n
   in
-  Array.iter (fun i -> Engine.Metrics.observe series (norm i)) sample;
+  Array.iter (fun i -> Engine.Stats.add sampled (norm i)) sample;
   let bottleneck = Netsim.Dumbbell.bottleneck b.db in
   {
     rn = p.n;
     events = Engine.Sim.events_processed b.sim;
     mean_norm = Engine.Stats.mean stats;
     cov = Engine.Stats.cov stats;
-    cov_sampled = Engine.Stats.cov (Engine.Metrics.series_stats series);
+    cov_sampled = Engine.Stats.cov sampled;
     jain = Engine.Stats.jain_index values;
     p10 = Engine.Stats.percentile 0.1 values;
     p50 = Engine.Stats.percentile 0.5 values;

@@ -1,7 +1,6 @@
-(* Engine.Json emitter and Engine.Metrics registry. *)
+(* Engine.Json emitter and parser. *)
 
 module Json = Engine.Json
-module Metrics = Engine.Metrics
 
 (* ------------------------------------------------------------------ *)
 (* Json                                                                *)
@@ -69,62 +68,6 @@ let test_json_nested () =
   Alcotest.(check string) "pretty matches minified modulo whitespace"
     (strip (Json.to_string ~minify:true doc))
     (strip (Json.to_string doc))
-
-(* ------------------------------------------------------------------ *)
-(* Metrics                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_counter_basics () =
-  let reg = Metrics.create () in
-  let c = Metrics.counter reg "pkts" in
-  Metrics.incr c;
-  Metrics.incr ~by:9 c;
-  Alcotest.(check int) "counted" 10 (Metrics.value c);
-  (* Same name -> same cell. *)
-  Metrics.incr (Metrics.counter reg "pkts");
-  Alcotest.(check int) "get-or-create aliases" 11 (Metrics.value c)
-
-let test_counter_saturates () =
-  let reg = Metrics.create () in
-  let c = Metrics.counter reg "big" in
-  Metrics.incr ~by:max_int c;
-  Metrics.incr ~by:max_int c;
-  Alcotest.(check int) "saturates instead of wrapping" max_int
-    (Metrics.value c);
-  Alcotest.check_raises "negative increment rejected"
-    (Invalid_argument "Metrics.incr: negative increment") (fun () ->
-      Metrics.incr ~by:(-1) c)
-
-let test_kind_collision () =
-  let reg = Metrics.create () in
-  ignore (Metrics.counter reg "x");
-  Alcotest.check_raises "kind mismatch"
-    (Invalid_argument "Metrics: x already registered as a counter")
-    (fun () -> ignore (Metrics.gauge reg "x"))
-
-let test_snapshot_sorted_and_deterministic () =
-  (* Two registries fed the same data in opposite registration order must
-     serialize identically. *)
-  let fill names reg =
-    List.iter (fun n -> Metrics.incr ~by:3 (Metrics.counter reg n)) names;
-    Metrics.set (Metrics.gauge reg "util") 0.5;
-    Metrics.observe (Metrics.series reg "occ") 2.
-  in
-  let a = Metrics.create () and b = Metrics.create () in
-  fill [ "zeta"; "alpha"; "mid" ] a;
-  fill [ "mid"; "alpha"; "zeta" ] b;
-  Alcotest.(check string) "order-independent bytes"
-    (Json.to_string (Metrics.snapshot a))
-    (Json.to_string (Metrics.snapshot b))
-
-let test_snapshot_omits_unset () =
-  let reg = Metrics.create () in
-  ignore (Metrics.gauge reg "never-set");
-  ignore (Metrics.series reg "never-observed");
-  Metrics.incr (Metrics.counter reg "c");
-  Alcotest.(check string) "only the counter appears"
-    "{\"counters\":{\"c\":1},\"gauges\":{},\"series\":{}}"
-    (Json.to_string ~minify:true (Metrics.snapshot reg))
 
 (* ------------------------------------------------------------------ *)
 (* Json parser                                                         *)
@@ -224,14 +167,6 @@ let test_member () =
     "non-object" None
     (Json.member "x" (Json.Int 3))
 
-let test_series_stats () =
-  let reg = Metrics.create () in
-  let s = Metrics.series ~keep:2 reg "q" in
-  List.iter (Metrics.observe s) [ 1.; 2.; 3.; 4. ];
-  let st = Metrics.series_stats s in
-  Alcotest.(check int) "count" 4 (Engine.Stats.count st);
-  Alcotest.(check (float 1e-9)) "mean" 2.5 (Engine.Stats.mean st)
-
 let suite =
   [
     Alcotest.test_case "json scalars" `Quick test_json_scalars;
@@ -245,11 +180,4 @@ let suite =
     Alcotest.test_case "parse rejects malformed" `Quick test_parse_errors;
     Alcotest.test_case "emit/parse round-trip" `Quick test_parse_roundtrip;
     Alcotest.test_case "member lookup" `Quick test_member;
-    Alcotest.test_case "counter basics" `Quick test_counter_basics;
-    Alcotest.test_case "counter saturation" `Quick test_counter_saturates;
-    Alcotest.test_case "kind collision" `Quick test_kind_collision;
-    Alcotest.test_case "snapshot determinism" `Quick
-      test_snapshot_sorted_and_deterministic;
-    Alcotest.test_case "snapshot omits unset" `Quick test_snapshot_omits_unset;
-    Alcotest.test_case "series stats" `Quick test_series_stats;
   ]
