@@ -77,6 +77,20 @@ let test_json_rejects_garbage () =
   bad "duration 0" (set [ ("duration", J.Float 0.) ]);
   bad "duration inf" (set [ ("duration", J.Float infinity) ]);
   bad "rtt nan" (set [ ("rtt", J.Float nan) ]);
+  bad "proto tcp:inf"
+    (set
+       [
+         ( "flows",
+           J.List
+             [
+               J.Obj
+                 [
+                   ("proto", J.String "tcp:inf");
+                   ("src_site", J.Int 0);
+                   ("dst_site", J.Int 1);
+                 ];
+             ] );
+       ]);
   let two_hops src dst =
     set
       [
