@@ -54,18 +54,16 @@ val to_string : t -> string
     carrying a one-line message; it never raises. *)
 val of_string : string -> (t, string) result
 
-(** Create a host pair on the dumbbell and a flow of this protocol from
-    left to right ([reverse] for right to left).  The flow is not started.
-    [total_pkts] makes it a finite transfer (windowed protocols only).
-    [ca_start] makes windowed protocols begin in congestion avoidance at
-    their initial window — the paper's "established flow at one packet per
-    RTT" premise for transient-fairness experiments (no-op for rate-based
-    protocols, which have no slow-start threshold). *)
+(** Create a host pair on the dumbbell and a long-lived flow of this
+    protocol, sending 1000-byte packets from left to right ([reverse] for
+    right to left).  The flow is not started.  [ca_start] makes windowed
+    protocols begin in congestion avoidance at their initial window — the
+    paper's "established flow at one packet per RTT" premise for
+    transient-fairness experiments (no-op for rate-based protocols, which
+    have no slow-start threshold). *)
 val spawn :
   ?reverse:bool ->
   ?extra_delay:float ->
-  ?pkt_size:int ->
-  ?total_pkts:int ->
   ?ca_start:bool ->
   t ->
   Netsim.Dumbbell.t ->
@@ -76,8 +74,6 @@ val spawn :
     hosts it attaches with {!Netsim.Dumbbell.add_host}.  The caller
     supplies a fresh [flow] id. *)
 val spawn_between :
-  ?pkt_size:int ->
-  ?total_pkts:int ->
   ?ca_start:bool ->
   t ->
   sim:Engine.Sim.t ->

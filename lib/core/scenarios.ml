@@ -16,13 +16,15 @@ let make_env ?(seed = 1) ?(rtt = default_rtt) ?(queue = Netsim.Dumbbell.Red)
   let db = Netsim.Dumbbell.create ~sim ~rng:(Engine.Rng.split rng) config in
   { sim; rng; db }
 
-let start_staggered env ?(over = 2.) flows =
+(* Start each flow at a uniform random time in the first 2 s. *)
+let start_staggered env flows =
   List.iter
     (fun (flow : Cc.Flow.t) ->
-      let jitter = Engine.Rng.uniform env.rng ~lo:0. ~hi:over in
+      let jitter = Engine.Rng.uniform env.rng ~lo:0. ~hi:2. in
       Engine.Sim.at env.sim jitter flow.Cc.Flow.start)
     flows
 
+(* [n] reverse-direction TCP flows (right to left), staggered. *)
 let add_reverse_traffic env ~n =
   let flows =
     List.init n (fun _ ->
@@ -95,10 +97,9 @@ type flash_crowd_result = {
   mean_completion : float;
 }
 
-let flash_crowd ?(seed = 1) ?(n_bg = 10) ?(duration = 60.) ~protocol
-    ~bandwidth () =
+let flash_crowd ?(seed = 1) ?(duration = 60.) ~protocol ~bandwidth () =
   let env = make_env ~seed ~bandwidth () in
-  let flows = List.init n_bg (fun _ -> Protocol.spawn protocol env.db) in
+  let flows = List.init 10 (fun _ -> Protocol.spawn protocol env.db) in
   start_staggered env flows;
   ignore (add_reverse_traffic env ~n:2);
   let crowd =

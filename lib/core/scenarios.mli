@@ -20,9 +20,6 @@ val make_env :
   unit ->
   env
 
-(** Start [n] reverse-direction TCP flows (right to left), staggered. *)
-val add_reverse_traffic : env -> n:int -> Cc.Flow.t list
-
 (** {1 Sudden congestion: CBR restart (Figures 3-5)} *)
 
 type cbr_restart_result = {
@@ -55,11 +52,11 @@ type flash_crowd_result = {
   mean_completion : float;
 }
 
-(** Long-lived background flows of [protocol] face a crowd of 10-packet
-    TCP transfers arriving at 200 flows/s for 5 s starting at t = 25 s. *)
+(** Ten long-lived background flows of [protocol] face a crowd of
+    10-packet TCP transfers arriving at 200 flows/s for 5 s starting at
+    t = 25 s. *)
 val flash_crowd :
   ?seed:int ->
-  ?n_bg:int ->
   ?duration:float ->
   protocol:Protocol.t ->
   bandwidth:float ->

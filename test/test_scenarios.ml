@@ -97,8 +97,8 @@ let test_loss_pattern () =
 
 let test_flash_crowd_scenario () =
   let r =
-    Slowcc.Scenarios.flash_crowd ~n_bg:3 ~duration:40. ~protocol:tcp
-      ~bandwidth:6e6 ()
+    Slowcc.Scenarios.flash_crowd ~duration:40. ~protocol:tcp ~bandwidth:6e6
+      ()
   in
   Alcotest.(check bool) "crowd launched" true
     (r.Slowcc.Scenarios.crowd_started > 500);
