@@ -2,7 +2,7 @@ module Json = Engine.Json
 
 let schema = "slowcc-workqueue/1"
 
-type job = { index : int; name : string; est_wall_s : float option }
+type job = { index : int; name : string }
 
 type t = {
   dir : string;
@@ -34,21 +34,11 @@ let list_dir d = try Sys.readdir d with Sys_error _ -> [||]
 (* ------------------------------------------------------------------ *)
 
 (* The claimable file's base name is "NNN-<unit>" where NNN is the job's
-   longest-processing-time-first rank: a sorted directory scan IS the LPT
-   schedule, so workers need no shared state to agree on execution order.
+   submission index: a sorted directory scan claims jobs in submission
+   order, so workers need no shared state to agree on execution order.
    The base name survives the whole todo -> claims -> done lifecycle, so
    requeueing and completion always land back on the same identity. *)
-let base_name ~rank name = Printf.sprintf "%03d-%s" rank name
-
-(* Jobs longest-first by a stable sort, with absent, NaN and infinite
-   estimates as zero: ties and unestimated jobs keep submission order. *)
-let lpt_order jobs =
-  let cost j =
-    match j.est_wall_s with
-    | Some c when Float.is_finite c -> c
-    | Some _ | None -> 0.
-  in
-  List.stable_sort (fun a b -> Float.compare (cost b) (cost a)) jobs
+let base_name j = Printf.sprintf "%03d-%s" j.index j.name
 
 let claim_marker = ".claim."
 
@@ -107,28 +97,17 @@ let job_json j =
     [
       ("index", Json.Int j.index);
       ("unit", Json.String j.name);
-      ( "est_wall_s",
-        match j.est_wall_s with Some e -> Json.Float e | None -> Json.Null );
     ]
 
 let job_of_json doc =
   match (Json.member "index" doc, Json.member "unit" doc) with
-  | Some (Json.Int index), Some (Json.String name) ->
-    let est_wall_s =
-      match Json.member "est_wall_s" doc with
-      | Some (Json.Float e) -> Some e
-      | Some (Json.Int e) -> Some (float_of_int e)
-      | _ -> None
-    in
-    Ok { index; name; est_wall_s }
+  | Some (Json.Int index), Some (Json.String name) -> Ok { index; name }
   | _ -> Error "malformed job record"
 
 let seed ~dir ~fingerprint ~quick ~jobs =
   if Sys.file_exists (queue_file dir) then
     raise (Sys_error (dir ^ ": already contains a work queue"));
-  let jobs =
-    List.mapi (fun index (name, est_wall_s) -> { index; name; est_wall_s }) jobs
-  in
+  let jobs = List.mapi (fun index (name, _estimate) -> { index; name }) jobs in
   let t = { dir; fingerprint; quick; jobs } in
   List.iter Table.ensure_dir [ dir; todo_dir t; claims_dir t; done_dir t; tmp_dir t ];
   let doc =
@@ -141,12 +120,12 @@ let seed ~dir ~fingerprint ~quick ~jobs =
       ]
   in
   write_file_atomic t (queue_file dir) (Json.to_string doc ^ "\n");
-  List.iteri
-    (fun rank j ->
+  List.iter
+    (fun j ->
       write_file_atomic t
-        (Filename.concat (todo_dir t) (base_name ~rank j.name))
+        (Filename.concat (todo_dir t) (base_name j))
         (Json.to_string ~minify:true (job_json j) ^ "\n"))
-    (lpt_order jobs);
+    jobs;
   t
 
 let load ~dir =

@@ -17,7 +17,7 @@
 
     {v
     <dir>/queue.json                    schema, fingerprint, quick, job list
-    <dir>/todo/NNN-<unit>               claimable (NNN = seed rank)
+    <dir>/todo/NNN-<unit>               claimable (NNN = submission index)
     <dir>/claims/NNN-<unit>.claim.<worker>.<expiry-ms>   claimed, leased
     <dir>/done/NNN-<unit>               completion marker (ok or failed)
     v}
@@ -37,11 +37,8 @@
     no-unix-dependency rule and tests can compress time. *)
 
 type job = {
-  index : int;  (** submission index — the assembly order *)
+  index : int;  (** submission index — the claim and assembly order *)
   name : string;  (** experiment unit id, e.g. ["fig7"] *)
-  est_wall_s : float option;
-      (** caller-supplied LPT estimate, recorded at seed time; the CLI
-          supplies none *)
 }
 
 type t
@@ -54,12 +51,11 @@ val quick : t -> bool
 val jobs : t -> job list
 
 (** [seed ~dir ~fingerprint ~quick ~jobs] creates the queue directory
-    and one claimable file per [(unit, estimate)] pair.  Claim files are
-    named by longest-processing-time-first rank of the caller's
-    estimates, so workers scanning the directory in sorted order pick
-    expensive jobs first; ties and absent estimates keep submission
-    order.  The CLI passes [None] for every unit.  Raises [Sys_error] if
-    [dir] already contains a queue. *)
+    and one claimable file per [(unit, estimate)] pair, named by
+    submission index, so workers scanning the directory in sorted order
+    claim jobs in submission order.  The estimate is ignored; the pair
+    type stays for existing callers.  Raises [Sys_error] if [dir] already
+    contains a queue. *)
 val seed :
   dir:string ->
   fingerprint:string ->
@@ -75,8 +71,8 @@ type claimed
 
 val claimed_job : claimed -> job
 
-(** [try_claim t ~worker ~now ~lease_s] scans claimable jobs in rank
-    order and atomically takes the first one, leasing it until
+(** [try_claim t ~worker ~now ~lease_s] scans claimable jobs in
+    submission order and atomically takes the first one, leasing it until
     [now + lease_s].  [None] when nothing is claimable (the queue may
     still hold outstanding claims — see {!drained}).  [worker] must be
     filename-safe ([A-Za-z0-9-]); {!sanitize_worker} enforces this. *)

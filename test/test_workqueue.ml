@@ -1,5 +1,5 @@
 (* The persistent work queue behind the process-pool sweep backend:
-   seed/load round-trips, LPT claim ordering, atomic claim races across
+   seed/load round-trips, submission-order claims, atomic claim races across
    real worker processes, lease-expiry crash recovery (a worker killed
    mid-job), failed-job semantics, and the end-to-end guarantee that a
    sweep assembled from worker-published cache entries is byte-identical
@@ -44,10 +44,11 @@ let spawn_child ~mode ~dir ~aux ~id =
 
 let job_names jobs = List.map (fun (j : Wq.job) -> j.Wq.name) jobs
 
+(* The estimates are ignored: claims follow submission order. *)
 let sample_jobs =
   [ ("a", Some 1.); ("b", Some 5.); ("c", None); ("d", Some 5.) ]
 
-let test_seed_load_lpt () =
+let test_seed_load_order () =
   let dir = fresh_dir () in
   let q = Wq.seed ~dir ~fingerprint:"fp" ~quick:true ~jobs:sample_jobs in
   (match Wq.load ~dir with
@@ -62,13 +63,12 @@ let test_seed_load_lpt () =
     Alcotest.(check (list int))
       "submission indices" [ 0; 1; 2; 3 ]
       (List.map (fun (j : Wq.job) -> j.Wq.index) (Wq.jobs q')));
-  (* Sorted readdir of todo/ IS the LPT schedule: longest first, ties and
-     missing estimates in submission order. *)
+  (* Sorted readdir of todo/ IS the schedule: submission order. *)
   let todo = Sys.readdir (Filename.concat dir "todo") in
   Array.sort String.compare todo;
   Alcotest.(check (list string))
-    "todo files encode LPT rank"
-    [ "000-b"; "001-d"; "002-a"; "003-c" ]
+    "todo files encode submission index"
+    [ "000-a"; "001-b"; "002-c"; "003-d" ]
     (Array.to_list todo);
   Alcotest.(check bool) "reseeding an existing queue refuses" true
     (match Wq.seed ~dir ~fingerprint:"fp" ~quick:true ~jobs:[] with
@@ -92,7 +92,7 @@ let test_sequential_claims () =
   in
   drain ();
   Alcotest.(check (list string))
-    "claims follow LPT order" [ "b"; "d"; "a"; "c" ]
+    "claims follow submission order" [ "a"; "b"; "c"; "d" ]
     (List.rev !order);
   Alcotest.(check bool) "queue drained" true (Wq.drained q);
   let s = Wq.status q in
@@ -193,7 +193,7 @@ let test_killed_worker_recovered () =
   let dir = fresh_dir () in
   let q =
     Wq.seed ~dir ~fingerprint:"fp" ~quick:false
-      ~jobs:[ ("poison", Some 10.); ("a", None); ("b", None) ]
+      ~jobs:[ ("poison", None); ("a", None); ("b", None) ]
   in
   let victim = spawn_child ~mode:"victim" ~dir ~aux:"" ~id:"victim" in
   let claims = Filename.concat dir "claims" in
@@ -279,7 +279,7 @@ let test_sanitize_worker () =
 let suite =
   [
     Alcotest.test_case "seed/load round-trip and LPT order" `Quick
-      test_seed_load_lpt;
+      test_seed_load_order;
     Alcotest.test_case "sequential claims, exactly once" `Quick
       test_sequential_claims;
     Alcotest.test_case "lease expiry requeues" `Quick test_lease_expiry_requeue;
@@ -325,7 +325,7 @@ let run_child mode =
                 [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL ]
                 0o644)))
   | "victim" -> (
-    (* Claim the LPT-first job with a short lease, then hang —
+    (* Claim the first job with a short lease, then hang —
        simulating a crash mid-execution. *)
     match
       Wq.try_claim q ~worker:id ~now:(Unix.gettimeofday ()) ~lease_s:0.5
