@@ -69,21 +69,12 @@ let out_dir_arg =
            digested portion of the manifest is byte-identical for any \
            --jobs value.")
 
-let emit_conv =
-  let parse s =
-    match Slowcc.Manifest.emit_of_string s with
-    | Some e -> Ok e
-    | None -> Error (`Msg (Printf.sprintf "unknown format %S (csv|jsonl|both)" s))
-  in
-  let print fmt e =
-    Format.pp_print_string fmt (Slowcc.Manifest.emit_to_string e)
-  in
-  Arg.conv (parse, print)
-
 let emit_arg =
   Arg.(
     value
-    & opt emit_conv Slowcc.Manifest.Both
+    & opt
+        (enum Slowcc.Manifest.[ ("csv", Csv); ("jsonl", Jsonl); ("both", Both) ])
+        Slowcc.Manifest.Both
     & info [ "emit" ] ~docv:"FMT"
         ~doc:
           "Table format(s) written under --out-dir: $(b,csv), $(b,jsonl) or \
@@ -128,19 +119,21 @@ let report_cache =
 (* Process backend: coordinator and worker                             *)
 (* ------------------------------------------------------------------ *)
 
-let backend_conv =
-  let parse s =
-    match Engine.Pool.backend_of_string s with
-    | Some b -> Ok b
-    | None -> Error (`Msg (Printf.sprintf "unknown backend %S (domain|proc)" s))
-  in
-  let print fmt b = Format.pp_print_string fmt (Engine.Pool.backend_to_string b) in
-  Arg.conv (parse, print)
-
 let backend_arg =
   Arg.(
     value
-    & opt backend_conv Engine.Pool.Domains
+    & opt
+        (enum
+           [
+             (* Help shows a default by the last name that maps to it. *)
+             ("domains", `Domains);
+             ("domain", `Domains);
+             ("proc", `Procs);
+             ("procs", `Procs);
+             ("process", `Procs);
+             ("processes", `Procs);
+           ])
+        `Domains
     & info [ "backend" ] ~docv:"B"
         ~doc:
           "Sweep execution backend: $(b,domain) (worker domains in this \
@@ -374,13 +367,13 @@ let run_experiment verbose quick jobs out_dir emit cache_dir no_cache backend
     | None -> unknown ()
   in
   match (backend, cache) with
-  | Engine.Pool.Domains, _ ->
+  | `Domains, _ ->
     Engine.Pool.with_pool ~jobs (fun pool -> finish ~backend:None pool)
-  | Engine.Pool.Procs, None ->
+  | `Procs, None ->
     Format.eprintf "--backend proc needs --cache-dir (the queue and the \
                     results live there)@.";
     2
-  | Engine.Pool.Procs, Some cache -> (
+  | `Procs, Some cache -> (
     let assemble () =
       Engine.Pool.with_pool ~jobs (fun pool ->
           finish ~backend:(Some "proc") pool)

@@ -272,8 +272,9 @@ let handle_ack t (pkt : Netsim.Packet.t) =
       ()
 
 let create ~sim ~src ~dst ~flow cfg =
-  if cfg.alpha < 0. || cfg.beta < cfg.alpha then
-    invalid_arg "Vegas: need 0 <= alpha <= beta";
+  (* NaN fails every comparison, and a finite beta bounds alpha. *)
+  if not (0. <= cfg.alpha && cfg.alpha <= cfg.beta && Float.is_finite cfg.beta)
+  then invalid_arg "Vegas: need finite 0 <= alpha <= beta";
   let sink =
     Sink.attach ~sim ~node:dst ~flow ~peer:(Netsim.Node.id src)
   in

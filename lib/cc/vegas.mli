@@ -29,7 +29,8 @@ val create :
   config ->
   t
 (** Attach a sender at [src] and its cumulative-ack sink at [dst].
-    Raises [Invalid_argument] unless [0 <= alpha <= beta]. *)
+    Raises [Invalid_argument] unless [0 <= alpha <= beta] with [beta]
+    finite. *)
 
 val start : t -> unit
 val stop : t -> unit

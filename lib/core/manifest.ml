@@ -2,12 +2,6 @@ module Json = Engine.Json
 
 type emit = Csv | Jsonl | Both
 
-let emit_of_string = function
-  | "csv" -> Some Csv
-  | "jsonl" -> Some Jsonl
-  | "both" -> Some Both
-  | _ -> None
-
 let emit_to_string = function Csv -> "csv" | Jsonl -> "jsonl" | Both -> "both"
 
 (* ------------------------------------------------------------------ *)

@@ -10,16 +10,12 @@
 
 type emit = Csv | Jsonl | Both
 
-val emit_of_string : string -> emit option
 val emit_to_string : emit -> string
 
 (** MD5 hex digest over a table's id, title, columns, rows and notes,
     with length-prefixed fields so distinct tables cannot collide by
     concatenation. *)
 val table_digest : Table.t -> string
-
-(** [save_jsonl ~dir t] writes [dir/<id>.jsonl] and returns its path. *)
-val save_jsonl : dir:string -> Table.t -> string
 
 (** The digested portion of the manifest.  Exposed so tests can compare
     the exact bytes across worker counts. *)

@@ -82,7 +82,3 @@ let mean_between series ~lo ~hi =
   match Engine.Timeseries.mean_between series ~lo ~hi with
   | Some m -> m
   | None -> 0.
-
-let utilization ~bytes0 ~bytes1 ~dt ~bandwidth =
-  if dt <= 0. || bandwidth <= 0. then invalid_arg "Metrics.utilization";
-  (bytes1 -. bytes0) *. 8. /. (dt *. bandwidth)

@@ -54,8 +54,3 @@ val smoothness : ?floor:float -> Engine.Timeseries.t -> float
 
 (** Mean of a series between two times; 0 when empty. *)
 val mean_between : Engine.Timeseries.t -> lo:float -> hi:float -> float
-
-(** Utilization of a link over a window given its cumulative bytes-out
-    snapshots. *)
-val utilization :
-  bytes0:float -> bytes1:float -> dt:float -> bandwidth:float -> float

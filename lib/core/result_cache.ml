@@ -12,7 +12,7 @@ type t = {
   mutable misses : int;
 }
 
-let schema = "slowcc-result-cache/1"
+let schema = "slowcc-result-cache/2"
 let entry_suffix = ".entry"
 
 (* The code fingerprint: a digest of the running executable.  Any rebuild
@@ -71,112 +71,71 @@ let mem t ~key = Sys.file_exists (entry_path t key)
 (* Entries                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Entry layout: one meta line, then each table's full-fidelity JSONL
-   (header line + one line per row):
+(* An entry is one minified JSON document:
 
-     {"schema":"slowcc-result-cache/1","experiment":...,"quick":...,
-      "fingerprint":...,"tables":[{"id":...,"lines":N,"digest":...},...]}
-     {"id":...,"title":...,"columns":[...],"notes":[...]}
-     {"row":0,"cells":{...}}
-     ...
+     {"schema":"slowcc-result-cache/2","experiment":...,"quick":...,
+      "fingerprint":...,"tables":[{"id":...,"title":...,"columns":[...],
+      "notes":[...],"rows":[[...],...],"digest":...},...]}
 
-   The per-table digest is [Manifest.table_digest] of the table that was
+   Rows are arrays of the table's exact cell strings, whatever their
+   width.  [digest] is [Manifest.table_digest] of the table that was
    stored; a lookup recomputes it from the parsed bytes, so an entry that
    was truncated, hand-edited or bit-rotted is detected and discarded
    rather than trusted. *)
 
-let render_entry t ~experiment ~quick tables =
-  let buf = Buffer.create 4096 in
-  let specs =
-    List.map
-      (fun (tbl : Table.t) ->
-        Json.Obj
-          [
-            ("id", Json.String tbl.Table.id);
-            ("lines", Json.Int (1 + List.length tbl.Table.rows));
-            ("digest", Json.String (Manifest.table_digest tbl));
-          ])
-      tables
-  in
-  let meta =
+let strings xs = Json.List (List.map (fun s -> Json.String s) xs)
+
+let table_json (tbl : Table.t) =
+  Json.Obj
+    [
+      ("id", Json.String tbl.id);
+      ("title", Json.String tbl.title);
+      ("columns", strings tbl.columns);
+      ("notes", strings tbl.notes);
+      ("rows", Json.List (List.map strings tbl.rows));
+      ("digest", Json.String (Manifest.table_digest tbl));
+    ]
+
+let store t ~key ~experiment ~quick tables =
+  let doc =
     Json.Obj
       [
         ("schema", Json.String schema);
         ("experiment", Json.String experiment);
         ("quick", Json.Bool quick);
         ("fingerprint", Json.String t.fingerprint);
-        ("tables", Json.List specs);
+        ("tables", Json.List (List.map table_json tables));
       ]
   in
-  Buffer.add_string buf (Json.to_string ~minify:true meta);
-  Buffer.add_char buf '\n';
-  List.iter (fun tbl -> Buffer.add_string buf (Table.to_jsonl tbl)) tables;
-  Buffer.contents buf
+  Table.write_file_atomic (entry_path t key)
+    (Json.to_string ~minify:true doc ^ "\n")
 
-let store t ~key ~experiment ~quick tables =
-  let contents = render_entry t ~experiment ~quick tables in
-  Table.write_file_atomic (entry_path t key) contents
+(* Parse and verify one entry.  Any defect (malformed JSON, a wrong shape
+   or schema tag, a digest mismatch) raises [Bad_entry]. *)
+exception Bad_entry
 
-(* Parse and verify one entry.  Any defect — unreadable file, wrong
-   schema, bad table block, digest mismatch — yields [Error]. *)
+let field name doc =
+  match Json.member name doc with Some v -> v | None -> raise Bad_entry
+
+let str = function Json.String s -> s | _ -> raise Bad_entry
+let list f = function Json.List items -> List.map f items | _ -> raise Bad_entry
+
+let parse_table doc =
+  let tbl =
+    Table.make ~id:(str (field "id" doc)) ~title:(str (field "title" doc))
+      ~columns:(list str (field "columns" doc))
+      ~notes:(list str (field "notes" doc))
+      (list (list str) (field "rows" doc))
+  in
+  if Manifest.table_digest tbl <> str (field "digest" doc) then raise Bad_entry;
+  tbl
+
 let parse_entry contents =
-  let ( let* ) = Result.bind in
-  match String.index_opt contents '\n' with
-  | None -> Error "no meta line"
-  | Some nl ->
-    let* meta =
-      match Json.of_string (String.sub contents 0 nl) with
-      | Ok m -> Ok m
-      | Error e -> Error ("meta line: " ^ e)
-    in
-    let* () =
-      match Json.member "schema" meta with
-      | Some (Json.String s) when s = schema -> Ok ()
-      | _ -> Error "schema tag missing or unknown"
-    in
-    let* specs =
-      match Json.member "tables" meta with
-      | Some (Json.List specs) -> Ok specs
-      | _ -> Error "tables spec missing"
-    in
-    let body = String.sub contents (nl + 1) (String.length contents - nl - 1) in
-    let lines = String.split_on_char '\n' body in
-    let take n lines =
-      let rec go acc n = function
-        | rest when n = 0 -> Some (List.rev acc, rest)
-        | [] -> None
-        | l :: rest -> go (l :: acc) (n - 1) rest
-      in
-      go [] n lines
-    in
-    let* tables, leftover =
-      List.fold_left
-        (fun acc spec ->
-          let* tables, lines = acc in
-          let* n, recorded_digest =
-            match
-              (Json.member "lines" spec, Json.member "digest" spec)
-            with
-            | Some (Json.Int n), Some (Json.String d) when n > 0 -> Ok (n, d)
-            | _ -> Error "bad table spec"
-          in
-          let* block, rest =
-            match take n lines with
-            | Some split -> Ok split
-            | None -> Error "entry truncated"
-          in
-          let* table =
-            Table.of_jsonl (String.concat "\n" block ^ "\n")
-          in
-          if Manifest.table_digest table <> recorded_digest then
-            Error ("digest mismatch for table " ^ table.Table.id)
-          else Ok (table :: tables, rest))
-        (Ok ([], lines))
-        specs
-    in
-    (match leftover with
-    | [] | [ "" ] -> Ok (List.rev tables)
-    | _ -> Error "trailing data after the last table")
+  match Json.of_string contents with
+  | Error _ -> raise Bad_entry
+  | Ok doc ->
+    if str (field "schema" doc) <> schema then raise Bad_entry;
+    list parse_table (field "tables" doc)
 
 let lookup t ~key =
   let path = entry_path t key in
@@ -184,8 +143,8 @@ let lookup t ~key =
     if not (Sys.file_exists path) then None
     else
       match parse_entry (Table.read_file path) with
-      | Ok tables -> Some tables
-      | Error _ | (exception Sys_error _) ->
+      | tables -> Some tables
+      | exception (Bad_entry | Sys_error _) ->
         (* Self-healing: never trust stale bytes; drop the entry and let
            the caller re-simulate. *)
         (try Sys.remove path with Sys_error _ -> ());

@@ -14,12 +14,15 @@
     at any worker count, so keying on them would split the cache without
     a correctness gain.
 
-    {2 Self-healing}
+    {2 Storage and self-healing}
 
-    Entries store a {!Manifest.table_digest} per table.  A lookup parses
-    the stored JSONL back into {!Table.t} values and re-digests them; any
-    mismatch (truncation, hand edits, bit rot) discards the entry and
-    reports a miss, so stale bytes are never trusted. *)
+    An entry is one minified JSON document (schema
+    [slowcc-result-cache/2]) holding every table's id, title, columns,
+    notes, rows (arrays of the exact cell strings) and
+    {!Manifest.table_digest}.  A lookup parses it back into {!Table.t}
+    values and re-digests them; a parse error, a wrong shape or schema tag
+    or a digest mismatch (truncation, hand edits, bit rot) discards the
+    entry and reports a miss, so stale bytes are never trusted. *)
 
 type t
 

@@ -100,7 +100,7 @@ let save_csv ~dir t =
   path
 
 (* ------------------------------------------------------------------ *)
-(* JSONL round-trip                                                    *)
+(* JSONL rows                                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* One JSON object per row: {"row": i, "cells": {"col": "raw cell", ...}}.
@@ -119,8 +119,8 @@ let jsonl_row t i row =
   Json.to_string ~minify:true
     (Json.Obj [ ("row", Json.Int i); ("cells", Json.Obj cells) ])
 
-(* Rows-only rendering: exactly what [Manifest.save_jsonl] writes next to
-   the CSV (one minified object per line, trailing newline). *)
+(* Rows-only rendering: the [<id>.jsonl] file written next to the CSV
+   (one minified object per line, trailing newline). *)
 let rows_to_jsonl t =
   let buf = Buffer.create 1024 in
   List.iteri
@@ -129,120 +129,6 @@ let rows_to_jsonl t =
       Buffer.add_char buf '\n')
     t.rows;
   Buffer.contents buf
-
-(* Full-fidelity rendering: a header object carrying the metadata that the
-   rows-only form keeps in sidecars (title, notes) or filenames (id),
-   followed by the exact row lines of [rows_to_jsonl].  This is the result
-   cache's storage format; [of_jsonl] inverts it. *)
-let to_jsonl t =
-  let strings xs = Json.List (List.map (fun s -> Json.String s) xs) in
-  let header =
-    Json.Obj
-      [
-        ("id", Json.String t.id);
-        ("title", Json.String t.title);
-        ("columns", strings t.columns);
-        ("notes", strings t.notes);
-      ]
-  in
-  Json.to_string ~minify:true header ^ "\n" ^ rows_to_jsonl t
-
-(* Inverse of [to_jsonl].  The round-trip is exact — [Manifest.table_digest]
-   is preserved byte-for-byte — for every table whose rows are at most as
-   wide as its column list (wider rows are truncated at write time, a
-   pre-existing property of the JSONL form).  Duplicate column names are
-   handled by consuming cell fields in order. *)
-let of_jsonl s =
-  let ( let* ) = Result.bind in
-  let lines =
-    (* A trailing newline yields one empty trailing chunk; embedded
-       newlines inside cells are escaped, so line = object. *)
-    String.split_on_char '\n' s |> List.filter (fun l -> String.trim l <> "")
-  in
-  let parse_line l =
-    match Json.of_string l with
-    | Ok v -> Ok v
-    | Error e -> Error (Printf.sprintf "bad jsonl line: %s" e)
-  in
-  let string_field obj name =
-    match Json.member name obj with
-    | Some (Json.String s) -> Ok s
-    | _ -> Error (Printf.sprintf "header field %S missing or not a string" name)
-  in
-  let strings_field obj name =
-    match Json.member name obj with
-    | Some (Json.List items) ->
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          match item with
-          | Json.String s -> Ok (s :: acc)
-          | _ -> Error (Printf.sprintf "header field %S holds a non-string" name))
-        (Ok []) items
-      |> Result.map List.rev
-    | _ -> Error (Printf.sprintf "header field %S missing or not a list" name)
-  in
-  match lines with
-  | [] -> Error "empty jsonl document"
-  | header :: row_lines ->
-    let* header = parse_line header in
-    let* id = string_field header "id" in
-    let* title = string_field header "title" in
-    let* columns = strings_field header "columns" in
-    let* notes = strings_field header "notes" in
-    let parse_row i line =
-      let* obj = parse_line line in
-      let* () =
-        match Json.member "row" obj with
-        | Some (Json.Int j) when j = i -> Ok ()
-        | Some (Json.Int j) ->
-          Error (Printf.sprintf "row index %d where %d expected" j i)
-        | _ -> Error "row line without a row index"
-      in
-      let* fields =
-        match Json.member "cells" obj with
-        | Some (Json.Obj fields) -> Ok fields
-        | _ -> Error "row line without a cells object"
-      in
-      (* Rebuild the row by walking the columns in order, consuming the
-         first remaining field with that name each time (robust to
-         duplicate column names).  Cells are omitted only from the tail,
-         so the first absent column ends the row; leftover fields after
-         that mean the line does not describe this table. *)
-      let remaining = ref fields in
-      let cells = ref [] in
-      let stopped = ref false in
-      List.iter
-        (fun col ->
-          if not !stopped then
-            let rec take acc = function
-              | [] -> None
-              | (k, v) :: rest when String.equal k col ->
-                Some (v, List.rev_append acc rest)
-              | kv :: rest -> take (kv :: acc) rest
-            in
-            match take [] !remaining with
-            | Some (Json.String cell, rest) ->
-              remaining := rest;
-              cells := cell :: !cells
-            | Some _ -> stopped := true
-            | None -> stopped := true)
-        columns;
-      if !remaining <> [] then
-        Error (Printf.sprintf "row %d has cells for unknown columns" i)
-      else Ok (List.rev !cells)
-    in
-    let* rows =
-      List.fold_left
-        (fun acc (i, line) ->
-          let* acc = acc in
-          let* row = parse_row i line in
-          Ok (row :: acc))
-        (Ok [])
-        (List.mapi (fun i line -> (i, line)) row_lines)
-      |> Result.map List.rev
-    in
-    Ok (make ~id ~title ~columns ~notes rows)
 
 let print fmt t =
   let widths =

@@ -1,5 +1,7 @@
 (** Plain-text result tables: every experiment renders one (or more) of
-    these, mirroring a figure of the paper. *)
+    these, mirroring a figure of the paper.  This module writes the text,
+    CSV and rows-only JSONL forms; the on-disk form of a cached table is
+    {!Result_cache}'s own. *)
 
 type t = {
   id : string;  (** e.g. "fig4" *)
@@ -45,22 +47,10 @@ val save_csv : dir:string -> t -> string
 
 (** Rows-only JSONL: one minified JSON object per row,
     [{"row": i, "cells": {"<col>": "<raw cell>", ...}}], exactly the bytes
-    {!Manifest.save_jsonl} writes next to the CSV.  Cells keep the exact
-    strings of the table; ragged rows keep only cells that have a column. *)
+    of the [<id>.jsonl] file {!Manifest.write} puts next to the CSV.  Cells
+    keep the exact strings of the table; ragged rows keep only cells that
+    have a column. *)
 val rows_to_jsonl : t -> string
-
-(** Full-fidelity JSONL: a header object
-    [{"id": ..., "title": ..., "columns": [...], "notes": [...]}] followed
-    by the exact row lines of {!rows_to_jsonl}.  Storage format of
-    {!Result_cache}; inverted by {!of_jsonl}. *)
-val to_jsonl : t -> string
-
-(** Inverse of {!to_jsonl}.  The round-trip is exact — it preserves
-    {!Manifest.table_digest} byte-for-byte — for every table whose rows
-    are at most as wide as the column list (wider rows are truncated at
-    write time).  Errors on malformed lines, out-of-order row indices and
-    cells that do not belong to the table. *)
-val of_jsonl : string -> (t, string) result
 
 (** Formatting helpers. *)
 val fnum : float -> string

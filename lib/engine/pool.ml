@@ -12,15 +12,6 @@ type t = {
    itself calls [map_list]) run inline instead of deadlocking the pool. *)
 let in_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
-type backend = Domains | Procs
-
-let backend_of_string = function
-  | "domain" | "domains" -> Some Domains
-  | "proc" | "procs" | "process" | "processes" -> Some Procs
-  | _ -> None
-
-let backend_to_string = function Domains -> "domain" | Procs -> "proc"
-
 let default_jobs () = max 1 (Domain.recommended_domain_count ())
 let clamp_jobs jobs = min 128 (max 1 jobs)
 

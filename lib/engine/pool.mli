@@ -17,29 +17,6 @@
 
 type t
 
-(** {2 Execution backends}
-
-    The pool type below is the {e domain} backend: shared-memory worker
-    domains inside one process.  Sweeps can also run on the {e process}
-    backend — a pool of worker processes (possibly on several machines
-    sharing a filesystem) coordinating through a persisted work queue and
-    the content-addressed result cache.  Both backends execute the same
-    closed, independently-seeded jobs and reassemble in submission order,
-    so output bytes are identical under either; which one wins is purely
-    a hardware question (domains share one minor-GC clock, processes do
-    not).  The process backend itself lives above the engine (it needs
-    the result cache and an executable to spawn — see [Slowcc.Workqueue]
-    and the [slowcc_run worker] subcommand); this enum only names the
-    choice for CLIs and benchmarks. *)
-type backend =
-  | Domains  (** worker domains in-process, selected with [--jobs] *)
-  | Procs
-      (** worker processes over a shared cache dir, selected with
-          [--workers] *)
-
-val backend_of_string : string -> backend option
-val backend_to_string : backend -> string
-
 (** Sensible default worker count for this machine:
     [Domain.recommended_domain_count ()], at least 1. *)
 val default_jobs : unit -> int

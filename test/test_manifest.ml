@@ -26,16 +26,6 @@ let digest_of_file path =
     | _ -> None)
   | Error e -> Alcotest.fail e
 
-let test_emit_roundtrip () =
-  List.iter
-    (fun e ->
-      match Manifest.emit_of_string (Manifest.emit_to_string e) with
-      | Some e' when e' = e -> ()
-      | _ -> Alcotest.fail "emit roundtrip")
-    [ Manifest.Csv; Manifest.Jsonl; Manifest.Both ];
-  Alcotest.(check bool) "unknown rejected" true
-    (Manifest.emit_of_string "xml" = None)
-
 let test_table_digest_sensitivity () =
   let d = Manifest.table_digest sample in
   Alcotest.(check int) "md5 hex" 32 (String.length d);
@@ -209,7 +199,6 @@ let test_fig7_jobs_invariance () =
 
 let suite =
   [
-    Alcotest.test_case "emit roundtrip" `Quick test_emit_roundtrip;
     Alcotest.test_case "table digest sensitivity" `Quick
       test_table_digest_sensitivity;
     Alcotest.test_case "jsonl rendering" `Quick test_jsonl_rendering;

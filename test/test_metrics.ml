@@ -79,12 +79,6 @@ let test_smoothness () =
   let ts = series [ (0., 1000.); (1., 3000.); (2., 1500.) ] in
   Alcotest.(check (float 1e-9)) "ratio" 3. (Slowcc.Metrics.smoothness ts)
 
-let test_utilization () =
-  let u =
-    Slowcc.Metrics.utilization ~bytes0:0. ~bytes1:1.25e6 ~dt:1. ~bandwidth:10e6
-  in
-  Alcotest.(check (float 1e-9)) "full" 1. u
-
 let test_validation () =
   Alcotest.check_raises "bad fk" (Invalid_argument "Metrics.f_k") (fun () ->
       ignore
@@ -103,6 +97,5 @@ let suite =
       test_fair_convergence_never;
     Alcotest.test_case "f(k)" `Quick test_f_k;
     Alcotest.test_case "smoothness" `Quick test_smoothness;
-    Alcotest.test_case "utilization" `Quick test_utilization;
     Alcotest.test_case "validation" `Quick test_validation;
   ]

@@ -47,7 +47,15 @@ let test_store_lookup_roundtrip () =
       (tables_digests [ sample; second ])
       (tables_digests ts));
   Alcotest.(check (pair int int)) "one miss then one hit" (1, 1)
-    (Cache.hits c, Cache.misses c)
+    (Cache.hits c, Cache.misses c);
+  (* A row wider than the column list keeps every cell. *)
+  let wide =
+    Table.make ~id:"fig0w" ~title:"wide row" ~columns:[ "a" ] [ [ "1"; "2" ] ]
+  in
+  Cache.store c ~key ~experiment:"fig0" ~quick:true [ wide ];
+  Alcotest.(check (option (list string))) "wide row round-trips"
+    (Some (tables_digests [ wide ]))
+    (Option.map tables_digests (Cache.lookup c ~key))
 
 let test_key_sensitivity () =
   let c = Cache.create ~dir:(fresh_dir ()) () in
@@ -135,7 +143,25 @@ let test_corruption_self_heals () =
   (* After healing, a store works again. *)
   Cache.store c ~key ~experiment:"fig0" ~quick:true [ sample ];
   Alcotest.(check bool) "re-stored entry hits" true
-    (Cache.lookup c ~key <> None)
+    (Cache.lookup c ~key <> None);
+  (* An entry in the older line-framed layout (a meta line with per-table
+     line counts, then each table as a header line and row lines) is a
+     miss and is deleted, although its digest is [sample]'s. *)
+  Out_channel.with_open_bin
+    (Filename.concat dir (key ^ ".entry"))
+    (fun oc ->
+      Out_channel.output_string oc
+        "{\"schema\":\"slowcc-result-cache/1\",\"experiment\":\"fig0\",\
+         \"quick\":true,\"fingerprint\":\"code-v1\",\"tables\":[{\"id\":\
+         \"fig0\",\"lines\":3,\"digest\":\"39849133887c09ef9ffe6101f8c7de5b\"}]}\n\
+         {\"id\":\"fig0\",\"title\":\"sample\",\"columns\":[\"x\",\"y\"],\
+         \"notes\":[\"a note\"]}\n\
+         {\"row\":0,\"cells\":{\"x\":\"1\",\"y\":\"2\"}}\n\
+         {\"row\":1,\"cells\":{\"x\":\"3\",\"y\":\"4,5\"}}\n");
+  Alcotest.(check bool) "old-layout entry reads as a miss" true
+    (Cache.lookup c ~key = None);
+  Alcotest.(check (list string)) "old-layout entry deleted" []
+    (entry_files dir)
 
 (* A file an older binary's timing store left behind: foreign to this
    cache, so [prune] and [clear] must leave it alone. *)
@@ -282,11 +308,10 @@ let test_warm_run_reproduces_cold () =
         (read "tmp-result-cache/fresh"))
     [ "fig7.csv"; "fig7.jsonl" ]
 
-(* Property: [Table.of_jsonl] inverts [Table.to_jsonl] exactly —
-   [Manifest.table_digest] is preserved byte-for-byte — over randomized
-   tables, including awkward cell contents (commas, quotes, newlines,
-   backslashes), duplicate column names and rows narrower than the
-   column list. *)
+(* Property: a table stored in the cache comes back with the same
+   [Manifest.table_digest], over randomized tables including awkward cell
+   contents (commas, quotes, newlines, backslashes), duplicate column
+   names and rows narrower, or one cell wider, than the column list. *)
 let cell_gen =
   QCheck2.Gen.(
     string_size ~gen:(oneofl [ 'a'; '0'; ','; '"'; '\\'; '\n'; ' '; '{' ])
@@ -301,7 +326,7 @@ let table_gen =
     in
     let* rows =
       list_size (int_range 0 6)
-        (let* width = int_range 0 n_cols in
+        (let* width = int_range 0 (n_cols + 1) in
          list_repeat width cell_gen)
     in
     let* id = string_size ~gen:(char_range 'a' 'z') (int_range 1 8) in
@@ -309,14 +334,18 @@ let table_gen =
     let* notes = list_size (int_range 0 3) cell_gen in
     return (Table.make ~id ~title ~columns ~notes rows))
 
-let prop_jsonl_roundtrip_digest =
-  QCheck2.Test.make ~name:"to_jsonl/of_jsonl preserves the table digest"
+(* Made on first use, not at module load: the work queue tests run this
+   executable again as worker processes. *)
+let prop_cache = lazy (Cache.create ~dir:(fresh_dir ()) ())
+
+let prop_store_lookup_digest =
+  QCheck2.Test.make ~name:"store/lookup preserves the table digest"
     ~count:200 table_gen (fun t ->
-      match Table.of_jsonl (Table.to_jsonl t) with
-      | Error e -> QCheck2.Test.fail_reportf "of_jsonl failed: %s" e
-      | Ok t' ->
-        String.equal (Manifest.table_digest t) (Manifest.table_digest t')
-        && String.equal (Table.rows_to_jsonl t) (Table.rows_to_jsonl t'))
+      let c = Lazy.force prop_cache in
+      let key = Cache.key c ~experiment:"prop" ~quick:true ~params in
+      Cache.store c ~key ~experiment:"prop" ~quick:true [ t ];
+      Option.map tables_digests (Cache.lookup c ~key)
+      = Some (tables_digests [ t ]))
 
 let suite =
   [
@@ -333,5 +362,5 @@ let suite =
       test_all_params_embed_figures;
     Alcotest.test_case "warm run reproduces cold" `Quick
       test_warm_run_reproduces_cold;
-    QCheck_alcotest.to_alcotest prop_jsonl_roundtrip_digest;
+    QCheck_alcotest.to_alcotest prop_store_lookup_digest;
   ]

@@ -278,7 +278,7 @@ let test_sanitize_worker () =
 
 let suite =
   [
-    Alcotest.test_case "seed/load round-trip and LPT order" `Quick
+    Alcotest.test_case "seed/load round-trip and submission order" `Quick
       test_seed_load_order;
     Alcotest.test_case "sequential claims, exactly once" `Quick
       test_sequential_claims;
